@@ -116,8 +116,11 @@ def save_dataset(path: str | Path, pairs: list[LabeledPair], n: int, m: int, kap
 
     Layout: magic "UCAD", u8 version, u32 n, u32 m, u32 kappa, u64 count,
     then per record: u32 assigned mask, n label bytes (255 = unassigned),
-    f64 current value, f64 target.
+    f64 current value, f64 target. m above 255 is refused, since a label
+    of 255 would read back as unassigned.
     """
+    if m > _UNASSIGNED_BYTE:
+        raise ValueError(f"m={m} exceeds {_UNASSIGNED_BYTE}, the most alternatives a label byte can hold")
     records = np.empty(len(pairs), dtype=_record_dtype(n))
     for r, pair in enumerate(pairs):
         if pair.assignment.n != n:

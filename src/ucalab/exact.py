@@ -1,15 +1,17 @@
-"""Exhaustive depth-first computation of exact optima and value-to-go.
+"""Exhaustive computation of exact optima and value-to-go.
 
-The value-to-go of a partial assignment is its own value when complete,
-otherwise the max over the m children that place the next free element.
-The search tree has branching m and depth equal to the number of free
-elements, so cost is m^depth; callers accept that cost explicitly through
-a node budget, and the budget check happens before any work.
+The value-to-go of a partial assignment is the best total value over all
+m^u completions of its u free elements. Cost is therefore exponential in
+u; callers accept it explicitly through a node budget, counted as the
+nodes of the equivalent depth-first search tree (`dfs_node_count`), and
+the budget check happens before any work.
 
-The two deepest levels are evaluated as one vectorized block. Leaf values
-are always produced by gathering the m bundle entries of a complete
-assignment and reducing along the row, which keeps results bit-identical
-to a flat enumeration over all completions.
+Completions are enumerated flat, in lexicographic label order, as blocks
+of bundle masks: the trailing free elements form one precomputed inner
+block and each prefix of the leading ones is ORed into it. Each value is
+produced by gathering the m bundle entries of a complete assignment and
+reducing along the row, which keeps results bit-identical to the flat
+enumeration oracles.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ElementOrder, PartialAssignment, UNASSIGNED, ValueTable, expand_children
+from .core import ElementOrder, PartialAssignment, ValueTable, expand_children
 
 DEFAULT_NODE_BUDGET = 10**8
+BLOCK_COMPLETIONS = 4096
 
 
 class BudgetExceededError(RuntimeError):
@@ -41,34 +44,36 @@ def dfs_node_count(m: int, depth: int) -> int:
     return (m ** (depth + 1) - 1) // (m - 1)
 
 
-def _max_value(values: np.ndarray, masks: np.ndarray, cols: np.ndarray, rem: list[int], m: int) -> float:
-    """Max completion value; `rem` holds the bit of each free element."""
-    depth = len(rem)
-    if depth == 0:
-        return float(values[masks, cols].sum())
-    if depth == 1:
-        block = np.repeat(masks[None, :], m, axis=0)
-        r = np.arange(m)
-        block[r, r] |= rem[0]
-        return float(values[block, cols].sum(axis=1).max())
-    if depth == 2:
-        k = m * m
-        block = np.repeat(masks[None, :], k, axis=0)
-        r = np.arange(k)
-        block[r, r // m] |= rem[0]
-        block[r, r % m] |= rem[1]
-        return float(values[block, cols].sum(axis=1).max())
-    bit = rem[0]
-    rest = rem[1:]
-    best = -np.inf
-    for i in range(m):
-        saved = masks[i]
-        masks[i] = saved | bit
-        val = _max_value(values, masks, cols, rest, m)
-        masks[i] = saved
-        if val > best:
-            best = val
-    return best
+def _completion_masks(base: np.ndarray, bits: list[int]) -> np.ndarray:
+    """Bundle masks of every completion of `base`, one row each, in
+    lexicographic label order (the element of bits[0] varies slowest)."""
+    m = len(base)
+    masks = base[None, :]
+    for bit in bits:
+        masks = (masks[:, None, :] | np.eye(m, dtype=np.int64) * bit).reshape(-1, m)
+    return masks
+
+
+def _best_completion(values: np.ndarray, base: np.ndarray, bits: list[int]) -> tuple[float, int]:
+    """Best completion value and the lexicographic index of its first occurrence.
+
+    The trailing free elements form an inner block of at most
+    BLOCK_COMPLETIONS rows that each prefix of the leading ones is ORed
+    into, so memory stays bounded by the block whatever the depth.
+    """
+    m = len(base)
+    split = len(bits)
+    while split and m ** (len(bits) - split + 1) <= BLOCK_COMPLETIONS:
+        split -= 1
+    inner = _completion_masks(np.zeros(m, dtype=np.int64), bits[split:])
+    cols = np.arange(m)
+    best, where = -np.inf, 0
+    for i, prefix in enumerate(_completion_masks(base, bits[:split])):
+        leaf = values[inner | prefix, cols].sum(axis=1)
+        j = int(leaf.argmax())
+        if i == 0 or leaf[j] > best:
+            best, where = leaf[j], i * len(inner) + j
+    return float(best), where
 
 
 def exact_value_to_go(
@@ -88,67 +93,11 @@ def exact_value_to_go(
         order = ElementOrder.identity(table.n)
     if len(order.perm) != table.n:
         raise ValueError("order length does not match the instance")
-    rem = [1 << e for e in order.perm if not assignment.is_assigned(e)]
-    needed = dfs_node_count(table.m, len(rem))
+    bits = [1 << e for e in order.perm if not assignment.is_assigned(e)]
+    needed = dfs_node_count(table.m, len(bits))
     if needed > node_budget:
-        raise BudgetExceededError(needed, node_budget, f"depth {len(rem)}, branching {table.m}")
-    masks = assignment.bundle_masks(table.m)
-    cols = np.arange(table.m)
-    return _max_value(table.values, masks, cols, rem, table.m)
-
-
-def _argmax_search(
-    values: np.ndarray,
-    masks: np.ndarray,
-    cols: np.ndarray,
-    elems: list[int],
-    labels: np.ndarray,
-    m: int,
-    best: list,
-) -> None:
-    """DFS twin of _max_value that also records the first argmax labeling."""
-    depth = len(elems)
-    if depth == 0:
-        val = float(values[masks, cols].sum())
-        if val > best[0]:
-            best[0] = val
-            best[1] = labels.copy()
-        return
-    if depth <= 2:
-        if depth == 1:
-            k = m
-            r = np.arange(k)
-            block = np.repeat(masks[None, :], k, axis=0)
-            block[r, r] |= 1 << elems[0]
-        else:
-            k = m * m
-            r = np.arange(k)
-            block = np.repeat(masks[None, :], k, axis=0)
-            block[r, r // m] |= 1 << elems[0]
-            block[r, r % m] |= 1 << elems[1]
-        leaf_vals = values[block, cols].sum(axis=1)
-        pick = int(np.argmax(leaf_vals))
-        val = float(leaf_vals[pick])
-        if val > best[0]:
-            best[0] = val
-            winner = labels.copy()
-            if depth == 1:
-                winner[elems[0]] = pick
-            else:
-                winner[elems[0]] = pick // m
-                winner[elems[1]] = pick % m
-            best[1] = winner
-        return
-    e = elems[0]
-    rest = elems[1:]
-    bit = 1 << e
-    for i in range(m):
-        saved = masks[i]
-        masks[i] = saved | bit
-        labels[e] = i
-        _argmax_search(values, masks, cols, rest, labels, m, best)
-        masks[i] = saved
-    labels[e] = UNASSIGNED
+        raise BudgetExceededError(needed, node_budget, f"depth {len(bits)}, branching {table.m}")
+    return _best_completion(table.values, assignment.bundle_masks(table.m), bits)[0]
 
 
 def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[PartialAssignment, float]:
@@ -160,12 +109,8 @@ def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tu
     needed = dfs_node_count(m, n)
     if needed > node_budget:
         raise BudgetExceededError(needed, node_budget, f"depth {n}, branching {m}")
-    masks = np.zeros(m, dtype=np.int64)
-    cols = np.arange(m)
-    labels = np.full(n, UNASSIGNED, dtype=np.int64)
-    best: list = [-np.inf, None]
-    _argmax_search(table.values, masks, cols, list(range(n)), labels, m, best)
-    return PartialAssignment.from_labels(best[1]), best[0]
+    value, where = _best_completion(table.values, np.zeros(m, dtype=np.int64), [1 << e for e in range(n)])
+    return PartialAssignment.from_labels(np.unravel_index(where, (m,) * n)), value
 
 
 def argmax_over_children(

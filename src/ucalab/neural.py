@@ -88,7 +88,10 @@ class MlpModel:
 
     def save(self, path: str | Path) -> None:
         """Write the UCAM binary format: header, the four norm constants,
-        then per layer u32 rows, u32 cols, row-major f64 weights, f64 biases."""
+        then per layer u32 rows, u32 cols, row-major f64 weights, f64 biases.
+        A model with non-finite parameters (diverged training) is refused."""
+        if not all(np.isfinite(p).all() for p in (*self.weights, *self.biases)):
+            raise ValueError("model contains non-finite parameters")
         with open(path, "wb") as fh:
             fh.write(_MODEL_HEADER.pack(_MODEL_MAGIC, _MODEL_VERSION, self.n, self.m))
             fh.write(_NORM_STRUCT.pack(*self.value_norm, *self.target_norm))
@@ -353,7 +356,8 @@ def grid_search(
 ) -> tuple[TrainConfig, MlpModel, list[tuple[int, float, float]]]:
     """Train one model per (learning rate, batch size) cell and keep the one
     with the lowest final test loss; ties go to the earlier cell in
-    row-major (lr, batch) order."""
+    row-major (lr, batch) order. A diverged cell (non-finite final test
+    loss) ranks last, and a grid where every cell diverged is refused."""
     if not lr_grid or not batch_grid:
         raise ValueError("grids must be nonempty")
     best = None
@@ -361,9 +365,11 @@ def grid_search(
         for batch_size in batch_grid:
             cell = replace(cfg, learning_rate=lr, batch_size=batch_size)
             model, trace = train(train_pairs, test_pairs, cell, n, m)
-            final_test = trace[-1][2]
+            final_test = trace[-1][2] if np.isfinite(trace[-1][2]) else np.inf
             if best is None or final_test < best[0]:
                 best = (final_test, cell, model, trace)
+    if best[0] == np.inf:
+        raise ValueError("training diverged in every grid cell")
     return best[1], best[2], best[3]
 
 

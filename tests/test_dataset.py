@@ -6,9 +6,10 @@ import pytest
 
 from oracles import all_completion_values
 
-from ucalab.core import ProblemSpec, UNASSIGNED, value_of
+from ucalab.core import PartialAssignment, ProblemSpec, UNASSIGNED, value_of
 from ucalab.dataset import (
     DatasetConfig,
+    LabeledPair,
     build_dataset,
     load_dataset,
     sample_partial_assignment,
@@ -172,3 +173,16 @@ def test_dataset_file_rejects_corruption(tmp_path):
     short.write_bytes(bytes(raw[:-4]))
     with pytest.raises(ValueError, match="bytes"):
         load_dataset(short)
+
+
+def test_save_dataset_refuses_labels_that_collide_with_the_sentinel(tmp_path):
+    # alternative 254 is the largest label byte that is not the sentinel
+    pairs = [LabeledPair(PartialAssignment.from_labels([254, UNASSIGNED]), 0.5, 1.5)]
+    path = tmp_path / "wide.ucad"
+    save_dataset(path, pairs, 2, 255, 1)
+    assert load_dataset(path) == (pairs, 2, 255, 1)
+    pairs = [LabeledPair(PartialAssignment.from_labels([255, UNASSIGNED]), 0.5, 1.5)]
+    path = tmp_path / "too_wide.ucad"
+    with pytest.raises(ValueError, match="m=256"):
+        save_dataset(path, pairs, 2, 256, 1)
+    assert not path.exists()

@@ -337,6 +337,18 @@ def test_grid_search_selects_minimum_cell():
     assert cells[(best_cfg.learning_rate, best_cfg.batch_size)] == min(cells.values())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_search_never_picks_diverged_cell():
+    rng = np.random.default_rng(24)
+    pairs = make_pairs(2, 2, 60, rng, target_fn=linear_target(2, 2, rng))
+    cfg = TrainConfig(1e-3, 16, 3, seed=25)
+    best_cfg, model, trace = grid_search(pairs[:50], pairs[50:], [1e200, 1e-3], [16], cfg, 2, 2)
+    assert best_cfg.learning_rate == 1e-3
+    assert np.isfinite(trace[-1][2])
+    with pytest.raises(ValueError, match="diverged"):
+        grid_search(pairs[:50], pairs[50:], [1e200], [16], cfg, 2, 2)
+
+
 def test_standardization_round_trip():
     rng = np.random.default_rng(28)
     for _ in range(100):
@@ -435,3 +447,12 @@ def test_train_config_validation():
         TrainConfig(1e-3, 4, 0)
     with pytest.raises(ValueError):
         TrainConfig(1e-3, 4, 1, beta1=1.0)
+
+
+def test_model_save_refuses_non_finite_parameters(tmp_path):
+    model = init_model(2, 2, np.random.default_rng(32))
+    model.weights[1][0, 0] = np.nan
+    path = tmp_path / "nan.ucam"
+    with pytest.raises(ValueError, match="non-finite"):
+        model.save(path)
+    assert not path.exists()
