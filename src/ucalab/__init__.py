@@ -18,6 +18,7 @@ from .bench import (
 from .core import (
     Bundle,
     ElementOrder,
+    FormatError,
     PartialAssignment,
     ProblemSpec,
     UNASSIGNED,
@@ -45,6 +46,7 @@ from .exact import (
 from .neural import (
     MlpModel,
     TrainConfig,
+    TrainingDivergedError,
     backward,
     encode_input,
     forward,
@@ -66,6 +68,7 @@ __all__ = [
     "DatasetConfig",
     "ElementOrder",
     "Estimator",
+    "FormatError",
     "LabeledPair",
     "MlpModel",
     "NpdParams",
@@ -74,6 +77,7 @@ __all__ = [
     "ProblemSpec",
     "RolloutResult",
     "TrainConfig",
+    "TrainingDivergedError",
     "TrapParams",
     "UNASSIGNED",
     "ValueTable",

@@ -1,16 +1,13 @@
 """Experiment harness: Monte Carlo value statistics, prediction-error
 reports, and best-of-N benchmark curves with CSV/SVG output.
 
-All CSV output is deterministic for a fixed master seed when run serially.
-Set UCA_THREADS > 1 to fan the benchmark rollouts out over worker threads;
-each (estimator, instance) task owns a derived seed, so results do not
-depend on the schedule.
+All CSV output is deterministic for a fixed master seed: rollouts run
+serially, and each (estimator, instance) pair draws from its own derived
+seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,14 +28,6 @@ from .seeding import derived_rng
 from .svg import Curve, write_line_chart, write_scatter
 
 _CI_FACTOR = 1.96  # normal-approximation 95% interval over instance means
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("UCA_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
 
 
 def _sampled_values(table: ValueTable, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,25 +192,15 @@ def benchmark_curves(
         if len(insts) != len(tables):
             raise ValueError(f"estimator {label!r} needs one instance per table")
 
-    tasks = [(label, ti) for label in estimators for ti in range(len(tables))]
-
-    def run(task):
-        label, ti = task
-        rng = derived_rng(master_seed, f"rollout/{label}/{ti}")
-        result = best_of_n(tables[ti], estimators[label][ti], n_evals, checkpoints, rng)
-        return task, [v for _, v in result.checkpoints]
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(run, tasks))
-    else:
-        results = dict(run(t) for t in tasks)
-
     k = len(tables)
     rows: list[CurveRow] = []
-    for label in estimators:
-        matrix = np.array([results[(label, ti)] for ti in range(k)])
+    for label, insts in estimators.items():
+        curves = []
+        for ti, (table, estimator) in enumerate(zip(tables, insts)):
+            rng = derived_rng(master_seed, f"rollout/{label}/{ti}")
+            result = best_of_n(table, estimator, n_evals, checkpoints, rng)
+            curves.append([v for _, v in result.checkpoints])
+        matrix = np.array(curves)
         means = matrix.mean(axis=0)
         sds = matrix.std(axis=0, ddof=1) if k > 1 else np.zeros(len(checkpoints))
         half = _CI_FACTOR * sds / np.sqrt(k)

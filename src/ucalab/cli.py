@@ -1,7 +1,8 @@
 """Command-line front end: generate, solve, label, train, rollout, bench,
 and a pipeline command that chains them from one config file.
 
-Exit codes: 0 ok, 1 runtime error (budget, I/O), 2 usage or config error.
+Exit codes: 0 ok, 1 runtime error (budget, I/O, a truncated or corrupt
+file, diverged training), 2 usage or config error.
 Stage seeds are derived from the master seed by hashing (master, stage
 label), so reruns with the same config reproduce every artifact byte for
 byte and changing one stage never shifts another stage's draws.
@@ -28,10 +29,10 @@ from .bench import (
     write_prediction_report,
     write_probability_csv,
 )
-from .core import ProblemSpec, ValueTable
+from .core import FormatError, ProblemSpec, ValueTable
 from .dataset import DatasetConfig, build_dataset, load_dataset, save_dataset, split_dataset
 from .exact import BudgetExceededError, DEFAULT_NODE_BUDGET, solve_exact
-from .neural import MlpModel, TrainConfig, grid_search, train
+from .neural import MlpModel, TrainConfig, TrainingDivergedError, grid_search, train
 from .search import Estimator, best_of_n
 from .seeding import derive_seed
 from .valuegen import NpdParams, TrapParams, generate_npd, generate_trap
@@ -282,7 +283,9 @@ def run_pipeline(config: dict[str, str]) -> dict:
     for sub in ("tables", "datasets", "models", "curves"):
         (out_dir / sub).mkdir(exist_ok=True)
 
-    manifest: dict = {"config": dict(config), "seeds": {}, "files": {}, "timings_s": {}, "optimum": {}}
+    manifest: dict = {
+        "config": dict(config), "seeds": {}, "files": {}, "timings_s": {}, "train": {}, "optimum": {}
+    }
 
     def note_file(path: Path) -> None:
         manifest["files"][str(path.relative_to(out_dir))] = _sha256(path)
@@ -303,8 +306,9 @@ def run_pipeline(config: dict[str, str]) -> dict:
 
         models: list[MlpModel] = []
         if need_models:
-            t0 = time.perf_counter()
+            label_s = train_s = 0.0
             for i, table in enumerate(tables):
+                t0 = time.perf_counter()
                 ds_seed = derive_seed(master, f"dataset/{dist}/{i}")
                 manifest["seeds"][f"dataset/{dist}/{i}"] = ds_seed
                 cfg = DatasetConfig(
@@ -317,7 +321,9 @@ def run_pipeline(config: dict[str, str]) -> dict:
                 ds_path = out_dir / "datasets" / f"{dist}_{i}.ucad"
                 save_dataset(ds_path, pairs, n, m, kappa)
                 note_file(ds_path)
+                label_s += time.perf_counter() - t0
 
+                t0 = time.perf_counter()
                 split_rng = np.random.default_rng(derive_seed(master, f"split/{dist}/{i}"))
                 train_pairs, test_pairs = split_dataset(pairs, split_fraction, split_rng)
                 train_seed = derive_seed(master, f"train/{dist}/{i}")
@@ -329,6 +335,11 @@ def run_pipeline(config: dict[str, str]) -> dict:
                     seed=train_seed,
                 )
                 model, trace = train(train_pairs, test_pairs, tcfg, n, m)
+                manifest["train"][f"{dist}/{i}"] = {
+                    "adam_steps": epochs * -(-len(train_pairs) // batch_size),
+                    "final_train_loss": trace[-1][1],
+                    "final_test_loss": trace[-1][2],
+                }
                 model_path = out_dir / "models" / f"{dist}_{i}.ucam"
                 model.save(model_path)
                 note_file(model_path)
@@ -336,7 +347,9 @@ def run_pipeline(config: dict[str, str]) -> dict:
                 _write_trace(trace_path, trace)
                 note_file(trace_path)
                 models.append(model)
-            manifest["timings_s"][f"label_train/{dist}"] = round(time.perf_counter() - t0, 3)
+                train_s += time.perf_counter() - t0
+            manifest["timings_s"][f"label/{dist}"] = round(label_s, 3)
+            manifest["timings_s"][f"train/{dist}"] = round(train_s, 3)
 
         t0 = time.perf_counter()
         estimators: dict[str, list[Estimator]] = {}
@@ -447,18 +460,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, FormatError, TrainingDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

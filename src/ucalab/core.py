@@ -21,6 +21,11 @@ UNASSIGNED = -1
 # Bundles are plain bitmasks: bit j set means element j is in the bundle.
 Bundle = int
 
+
+class FormatError(ValueError):
+    """A UCAV, UCAD or UCAM file that is truncated or corrupt."""
+
+
 _TABLE_MAGIC = b"UCAV"
 _TABLE_VERSION = 1
 _TABLE_HEADER = struct.Struct("<4sBIIQ")
@@ -89,20 +94,23 @@ class ValueTable:
     def load(cls, path: str | Path) -> "ValueTable":
         data = Path(path).read_bytes()
         if len(data) < _TABLE_HEADER.size:
-            raise ValueError(f"{path}: truncated value table file")
+            raise FormatError(f"{path}: truncated value table file")
         magic, version, n, m, seed = _TABLE_HEADER.unpack_from(data)
         if magic != _TABLE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {_TABLE_MAGIC!r}")
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {_TABLE_MAGIC!r}")
         if version != _TABLE_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
+            raise FormatError(f"{path}: unsupported version {version}")
         if not 1 <= n <= MAX_ELEMENTS or m < 1:
-            raise ValueError(f"{path}: invalid dimensions n={n}, m={m}")
+            raise FormatError(f"{path}: invalid dimensions n={n}, m={m}")
         expected = (1 << n) * m * 8
         payload = len(data) - _TABLE_HEADER.size
         if payload != expected:
-            raise ValueError(f"{path}: expected {expected} value bytes, found {payload}")
+            raise FormatError(f"{path}: expected {expected} value bytes, found {payload}")
         arr = np.frombuffer(data, dtype="<f8", offset=_TABLE_HEADER.size)
-        return cls(n, m, arr.reshape(1 << n, m).copy(), seed=seed)
+        try:
+            return cls(n, m, arr.reshape(1 << n, m).copy(), seed=seed)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

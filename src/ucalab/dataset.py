@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable, value_of
+from .core import FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable, value_of
 from .exact import DEFAULT_NODE_BUDGET, BudgetExceededError, dfs_node_count, exact_value_to_go
 
 _DATASET_MAGIC = b"UCAD"
@@ -141,22 +141,22 @@ def load_dataset(path: str | Path) -> tuple[list[LabeledPair], int, int, int]:
     """Read a UCAD file; returns (pairs, n, m, kappa)."""
     data = Path(path).read_bytes()
     if len(data) < _DATASET_HEADER.size:
-        raise ValueError(f"{path}: truncated dataset file")
+        raise FormatError(f"{path}: truncated dataset file")
     magic, version, n, m, kappa, count = _DATASET_HEADER.unpack_from(data)
     if magic != _DATASET_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}, expected {_DATASET_MAGIC!r}")
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {_DATASET_MAGIC!r}")
     if version != _DATASET_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
+        raise FormatError(f"{path}: unsupported version {version}")
     dtype = _record_dtype(n)
     expected = count * dtype.itemsize
     if len(data) - _DATASET_HEADER.size != expected:
-        raise ValueError(f"{path}: expected {expected} record bytes, found {len(data) - _DATASET_HEADER.size}")
+        raise FormatError(f"{path}: expected {expected} record bytes, found {len(data) - _DATASET_HEADER.size}")
     records = np.frombuffer(data, dtype=dtype, offset=_DATASET_HEADER.size)
     pairs = []
     for rec in records:
         labels = [UNASSIGNED if b == _UNASSIGNED_BYTE else int(b) for b in rec["labels"]]
         assignment = PartialAssignment.from_labels(labels)
         if assignment.assigned_mask != int(rec["mask"]):
-            raise ValueError(f"{path}: record mask inconsistent with labels")
+            raise FormatError(f"{path}: record mask inconsistent with labels")
         pairs.append(LabeledPair(assignment, float(rec["current_value"]), float(rec["target"])))
     return pairs, n, m, kappa

@@ -10,17 +10,27 @@ the model so inference can undo them.
 Training minimizes mean squared error on the standardized targets.
 Everything is plain float64 numpy; gradients are exact backprop with the
 ReLU subgradient at zero taken as zero.
+
+All parameters live in one contiguous float64 vector, `MlpModel.params`,
+stored layer by layer as the row-major weight matrix followed by the bias
+vector (the UCAM payload order); `weights[k]` and `biases[k]` are views
+into it. A training step writes its gradient into one vector of the same
+layout, and Adam updates the parameters and both moments as whole vectors
+with the same per-element expression a per-array update evaluates, so a
+trained model is bitwise the model of the per-array arithmetic (the tests
+keep that arithmetic as an oracle). Training stops with
+TrainingDivergedError at the first epoch whose loss is not finite.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import PartialAssignment, UNASSIGNED, ValueTable, value_of
+from .core import FormatError, PartialAssignment, UNASSIGNED, ValueTable, value_of
 
 _MODEL_MAGIC = b"UCAM"
 _MODEL_VERSION = 1
@@ -29,6 +39,10 @@ _NORM_STRUCT = struct.Struct("<dddd")
 _LAYER_HEADER = struct.Struct("<II")
 
 HIDDEN_LAYERS = 3
+
+
+class TrainingDivergedError(ValueError):
+    """Training reached a non-finite loss, so its model is unusable."""
 
 
 @dataclass(frozen=True)
@@ -52,6 +66,23 @@ class TrainConfig:
             raise ValueError("Adam betas must lie in (0, 1)")
 
 
+def _pack(weights, biases) -> np.ndarray:
+    """One float64 vector holding each layer's row-major weights, then its biases."""
+    return np.concatenate([np.ravel(a) for layer in zip(weights, biases) for a in layer], dtype=np.float64)
+
+
+def _layer_views(flat: np.ndarray, model: "MlpModel") -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, biases) views into `flat`, shaped like the model's."""
+    weights, biases = [], []
+    offset = 0
+    for rows, cols in (W.shape for W in model.weights):
+        weights.append(flat[offset : offset + rows * cols].reshape(rows, cols))
+        offset += rows * cols
+        biases.append(flat[offset : offset + rows])
+        offset += rows
+    return weights, biases
+
+
 @dataclass
 class MlpModel:
     """Weights/biases per layer plus the standardization constants.
@@ -59,7 +90,9 @@ class MlpModel:
     weights[k] has shape (out, in); biases[k] has shape (out,). The
     canonical architecture built by init_model is three hidden layers of
     width m*n + 1 and a scalar output, but forward() accepts any
-    shape-consistent stack (handy for hand-built fixtures).
+    shape-consistent stack (handy for hand-built fixtures). Construction
+    copies the given arrays into `params`, and weights/biases become views
+    into it; copies, deep copies and pickles rebuild those views.
     """
 
     n: int
@@ -68,6 +101,7 @@ class MlpModel:
     biases: list[np.ndarray]
     value_norm: tuple[float, float] = (0.0, 1.0)
     target_norm: tuple[float, float] = (0.0, 1.0)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -81,6 +115,11 @@ class MlpModel:
                 raise ValueError(f"layer {k} contains non-finite parameters")
         if self.weights[-1].shape[0] != 1:
             raise ValueError("output layer must be scalar")
+        self.params = _pack(self.weights, self.biases)
+        self.weights, self.biases = _layer_views(self.params, self)
+
+    def __reduce__(self):
+        return (MlpModel, (self.n, self.m, self.weights, self.biases, self.value_norm, self.target_norm))
 
     @property
     def input_dim(self) -> int:
@@ -90,7 +129,7 @@ class MlpModel:
         """Write the UCAM binary format: header, the four norm constants,
         then per layer u32 rows, u32 cols, row-major f64 weights, f64 biases.
         A model with non-finite parameters (diverged training) is refused."""
-        if not all(np.isfinite(p).all() for p in (*self.weights, *self.biases)):
+        if not np.isfinite(self.params).all():
             raise ValueError("model contains non-finite parameters")
         with open(path, "wb") as fh:
             fh.write(_MODEL_HEADER.pack(_MODEL_MAGIC, _MODEL_VERSION, self.n, self.m))
@@ -104,30 +143,33 @@ class MlpModel:
     def load(cls, path: str | Path) -> "MlpModel":
         data = Path(path).read_bytes()
         if len(data) < _MODEL_HEADER.size + _NORM_STRUCT.size:
-            raise ValueError(f"{path}: truncated model file")
+            raise FormatError(f"{path}: truncated model file")
         magic, version, n, m = _MODEL_HEADER.unpack_from(data)
         if magic != _MODEL_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {_MODEL_MAGIC!r}")
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {_MODEL_MAGIC!r}")
         if version != _MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
+            raise FormatError(f"{path}: unsupported version {version}")
         vmean, vstd, tmean, tstd = _NORM_STRUCT.unpack_from(data, _MODEL_HEADER.size)
         offset = _MODEL_HEADER.size + _NORM_STRUCT.size
         weights, biases = [], []
         while offset < len(data):
             if offset + _LAYER_HEADER.size > len(data):
-                raise ValueError(f"{path}: truncated layer header")
+                raise FormatError(f"{path}: truncated layer header")
             rows, cols = _LAYER_HEADER.unpack_from(data, offset)
             offset += _LAYER_HEADER.size
             need = (rows * cols + rows) * 8
             if offset + need > len(data):
-                raise ValueError(f"{path}: truncated layer payload")
+                raise FormatError(f"{path}: truncated layer payload")
             W = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
             offset += rows * cols * 8
             b = np.frombuffer(data, dtype="<f8", count=rows, offset=offset)
             offset += rows * 8
-            weights.append(W.copy())
-            biases.append(b.copy())
-        return cls(n, m, weights, biases, (vmean, vstd), (tmean, tstd))
+            weights.append(W)
+            biases.append(b)
+        try:
+            return cls(n, m, weights, biases, (vmean, vstd), (tmean, tstd))
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def init_model(n: int, m: int, rng: np.random.Generator) -> MlpModel:
@@ -186,12 +228,30 @@ def _forward_std(model: MlpModel, X: np.ndarray):
     zs = []
     a = X
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = a @ W.T + b
+        z = a @ W.T
+        z += b
         zs.append(z)
         a = np.maximum(z, 0.0)
         acts.append(a)
     out = a @ model.weights[-1].T + model.biases[-1]
     return acts, zs, out[:, 0]
+
+
+def _output_std(model: MlpModel, X: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The standardized scalar output of `_forward_std`, evaluated in place
+    without keeping activations. `scratch`, a (2, k) buffer with k at least
+    B times the widest layer, takes the layer outputs in turn, so repeated
+    evaluations allocate nothing."""
+    rows = X.shape[0]
+    last = len(model.weights) - 1
+    a = X
+    for k, (W, b) in enumerate(zip(model.weights, model.biases)):
+        out = None if scratch is None else scratch[k % 2, : rows * W.shape[0]].reshape(rows, W.shape[0])
+        a = np.matmul(a, W.T, out=out)
+        a += b
+        if k < last:
+            np.maximum(a, 0.0, out=a)
+    return a[:, 0]
 
 
 def forward(model: MlpModel, x) -> float | np.ndarray:
@@ -204,8 +264,7 @@ def forward(model: MlpModel, x) -> float | np.ndarray:
     X = arr[None, :] if single else arr
     if X.shape[1] != model.input_dim:
         raise ValueError(f"input length {X.shape[1]} does not match model width {model.input_dim}")
-    _, _, out = _forward_std(model, X)
-    preds = out * model.target_norm[1] + model.target_norm[0]
+    preds = _output_std(model, X) * model.target_norm[1] + model.target_norm[0]
     return float(preds[0]) if single else preds
 
 
@@ -218,9 +277,8 @@ def _encode_batch(model: MlpModel, pairs) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _loss_arrays(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
-    _, _, out = _forward_std(model, X)
-    return float(np.mean((y - out) ** 2))
+def _loss_arrays(model: MlpModel, X: np.ndarray, y: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    return float(np.mean((y - _output_std(model, X, scratch)) ** 2))
 
 
 def loss(model: MlpModel, pairs) -> float:
@@ -231,48 +289,76 @@ def loss(model: MlpModel, pairs) -> float:
     return _loss_arrays(model, X, y)
 
 
-def _backward_arrays(model: MlpModel, X: np.ndarray, y: np.ndarray):
+def _backward_arrays(
+    model: MlpModel, X: np.ndarray, y: np.ndarray, grads_w: list[np.ndarray], grads_b: list[np.ndarray]
+) -> None:
+    """Write the gradient of the batch loss into grads_w/grads_b, arrays
+    shaped like the model's weights/biases (views into one flat vector)."""
     acts, zs, out = _forward_std(model, X)
-    batch = X.shape[0]
-    grads_w = [np.empty_like(W) for W in model.weights]
-    grads_b = [np.empty_like(b) for b in model.biases]
-    delta = ((2.0 / batch) * (out - y))[:, None]
-    grads_w[-1] = delta.T @ acts[-1]
-    grads_b[-1] = delta.sum(axis=0)
-    back = delta @ model.weights[-1]
+    back = ((2.0 / X.shape[0]) * (out - y))[:, None]
+    np.matmul(back.T, acts[-1], out=grads_w[-1])
+    back.sum(axis=0, out=grads_b[-1])
     for k in range(len(model.weights) - 2, -1, -1):
-        dz = back * (zs[k] > 0.0)
-        grads_w[k] = dz.T @ acts[k]
-        grads_b[k] = dz.sum(axis=0)
-        back = dz @ model.weights[k]
-    return grads_w, grads_b
+        back = back @ model.weights[k + 1]
+        back *= zs[k] > 0.0
+        np.matmul(back.T, acts[k], out=grads_w[k])
+        back.sum(axis=0, out=grads_b[k])
 
 
 def backward(model: MlpModel, pairs) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact gradient of `loss` for every weight and bias."""
+    """Exact gradient of `loss` for every weight and bias, as views into one
+    vector laid out like `model.params`."""
     if not pairs:
         raise ValueError("backward requires a nonempty batch")
     X, y = _encode_batch(model, pairs)
-    return _backward_arrays(model, X, y)
+    grads = _layer_views(np.empty_like(model.params), model)
+    _backward_arrays(model, X, y, *grads)
+    return grads
 
 
 @dataclass
 class AdamState:
+    """Step count and the first and second moments, laid out like
+    `MlpModel.params`, plus two scratch vectors each update reuses."""
+
     step: int
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    mom: np.ndarray
+    vel: np.ndarray
+    scratch: np.ndarray = field(repr=False, compare=False)
 
 
 def init_adam_state(model: MlpModel) -> AdamState:
-    return AdamState(
-        step=0,
-        m_w=[np.zeros_like(W) for W in model.weights],
-        v_w=[np.zeros_like(W) for W in model.weights],
-        m_b=[np.zeros_like(b) for b in model.biases],
-        v_b=[np.zeros_like(b) for b in model.biases],
-    )
+    size = model.params.size
+    return AdamState(step=0, mom=np.zeros(size), vel=np.zeros(size), scratch=np.empty((2, size)))
+
+
+def _adam_update(params: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
+    """One Adam update of the whole parameter vector in place.
+
+    Evaluates the per-element expression
+    mom = b1*mom + (1-b1)*g; vel = b2*vel + ((1-b2)*g)*g;
+    p -= (lr*(mom/c1)) / (sqrt(vel/c2) + eps)
+    in that order, so the bits match a per-array update.
+    """
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - cfg.beta1**t
+    c2 = 1.0 - cfg.beta2**t
+    step, denom = state.scratch
+    state.mom *= cfg.beta1
+    np.multiply(grad, 1.0 - cfg.beta1, out=step)
+    state.mom += step
+    state.vel *= cfg.beta2
+    np.multiply(grad, 1.0 - cfg.beta2, out=step)
+    step *= grad
+    state.vel += step
+    np.divide(state.vel, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.epsilon
+    np.divide(state.mom, c1, out=step)
+    step *= cfg.learning_rate
+    step /= denom
+    params -= step
 
 
 def adam_step(
@@ -283,21 +369,7 @@ def adam_step(
 ) -> tuple[MlpModel, AdamState]:
     """One Adam update with bias-corrected moments; parameters and state are
     updated in place and returned for chaining."""
-    grads_w, grads_b = grads
-    state.step += 1
-    t = state.step
-    c1 = 1.0 - cfg.beta1**t
-    c2 = 1.0 - cfg.beta2**t
-    for params, gs, ms, vs in (
-        (model.weights, grads_w, state.m_w, state.v_w),
-        (model.biases, grads_b, state.m_b, state.v_b),
-    ):
-        for p, g, mom, vel in zip(params, gs, ms, vs):
-            mom *= cfg.beta1
-            mom += (1.0 - cfg.beta1) * g
-            vel *= cfg.beta2
-            vel += (1.0 - cfg.beta2) * g * g
-            p -= cfg.learning_rate * (mom / c1) / (np.sqrt(vel / c2) + cfg.epsilon)
+    _adam_update(model.params, _pack(*grads), state, cfg)
     return model, state
 
 
@@ -322,7 +394,8 @@ def train(
 
     Standardization constants come from the training split only. The
     training set is reshuffled each epoch from the seeded stream; the last
-    mini-batch of an epoch may be short.
+    mini-batch of an epoch may be short. Raises TrainingDivergedError at
+    the first epoch whose train or test loss is not finite.
     """
     if not train_pairs or not test_pairs:
         raise ValueError("train and test sets must be nonempty")
@@ -333,15 +406,30 @@ def train(
     X_train, y_train = _encode_batch(model, train_pairs)
     X_test, y_test = _encode_batch(model, test_pairs)
     state = init_adam_state(model)
-    trace = [(0, _loss_arrays(model, X_train, y_train), _loss_arrays(model, X_test, y_test))]
+    grad = np.empty_like(model.params)
+    grads = _layer_views(grad, model)
+    # every layer of the canonical architecture is at most input_dim wide
+    scratch = np.empty((2, max(len(X_train), len(X_test)) * model.input_dim))
+    trace: list[tuple[int, float, float]] = []
+
+    def record(epoch: int) -> None:
+        train_loss = _loss_arrays(model, X_train, y_train, scratch)
+        row = (epoch, train_loss, _loss_arrays(model, X_test, y_test, scratch))
+        if not (np.isfinite(row[1]) and np.isfinite(row[2])):
+            raise TrainingDivergedError(
+                f"training diverged at epoch {epoch}: train loss {row[1]!r}, test loss {row[2]!r}"
+            )
+        trace.append(row)
+
+    record(0)
     size = len(train_pairs)
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(size)
         for start in range(0, size, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            grads = _backward_arrays(model, X_train[idx], y_train[idx])
-            adam_step(model, grads, state, cfg)
-        trace.append((epoch, _loss_arrays(model, X_train, y_train), _loss_arrays(model, X_test, y_test)))
+            _backward_arrays(model, X_train[idx], y_train[idx], *grads)
+            _adam_update(model.params, grad, state, cfg)
+        record(epoch)
     return model, trace
 
 
@@ -356,21 +444,23 @@ def grid_search(
 ) -> tuple[TrainConfig, MlpModel, list[tuple[int, float, float]]]:
     """Train one model per (learning rate, batch size) cell and keep the one
     with the lowest final test loss; ties go to the earlier cell in
-    row-major (lr, batch) order. A diverged cell (non-finite final test
-    loss) ranks last, and a grid where every cell diverged is refused."""
+    row-major (lr, batch) order. A cell whose training diverged ranks last,
+    and a grid where every cell diverged is refused."""
     if not lr_grid or not batch_grid:
         raise ValueError("grids must be nonempty")
     best = None
     for lr in lr_grid:
         for batch_size in batch_grid:
             cell = replace(cfg, learning_rate=lr, batch_size=batch_size)
-            model, trace = train(train_pairs, test_pairs, cell, n, m)
-            final_test = trace[-1][2] if np.isfinite(trace[-1][2]) else np.inf
-            if best is None or final_test < best[0]:
-                best = (final_test, cell, model, trace)
-    if best[0] == np.inf:
-        raise ValueError("training diverged in every grid cell")
-    return best[1], best[2], best[3]
+            try:
+                model, trace = train(train_pairs, test_pairs, cell, n, m)
+            except TrainingDivergedError:
+                continue
+            if best is None or trace[-1][2] < best[2][-1][2]:
+                best = (cell, model, trace)
+    if best is None:
+        raise TrainingDivergedError("training diverged in every grid cell")
+    return best
 
 
 def predict_value_to_go(model: MlpModel, assignment: PartialAssignment, table: ValueTable) -> float:

@@ -4,7 +4,9 @@ These deliberately avoid the library's search code: completions are
 enumerated flat via a mixed-radix label grid and scored by gathering the
 m bundle entries of each completion and reducing along the row. The TRAP
 positive-value probability is computed in closed form over bundle-size
-profiles, without sampling and without `ucalab.bench`.
+profiles, without sampling and without `ucalab.bench`. Network training is
+written out per weight and bias array, without a flat parameter vector and
+without `ucalab.neural`.
 """
 
 from __future__ import annotations
@@ -96,3 +98,106 @@ def binomial_band(prob: float, samples: int, k: float = 6.0) -> tuple[float, flo
     """prob +/- k binomial standard deviations of a `samples`-draw frequency."""
     half = k * math.sqrt(prob * (1.0 - prob) / samples)
     return prob - half, prob + half
+
+
+def reference_encode(pairs, n: int, m: int, value_norm, target_norm) -> tuple[np.ndarray, np.ndarray]:
+    """(B, m*n + 1) inputs and standardized targets: the one-hot label matrix
+    flattened row-major (alternative i, element j at i*n + j), then the
+    standardized current value."""
+    X = np.zeros((len(pairs), m * n + 1))
+    y = np.empty(len(pairs))
+    for r, pair in enumerate(pairs):
+        for j, lab in enumerate(pair.assignment.labels):
+            if lab != UNASSIGNED:
+                X[r, lab * n + j] = 1.0
+        X[r, m * n] = (pair.current_value - value_norm[0]) / value_norm[1]
+        y[r] = (pair.target - target_norm[0]) / target_norm[1]
+    return X, y
+
+
+def reference_forward(weights, biases, X):
+    """ReLU hidden layers and an affine scalar output, keeping activations."""
+    acts, zs = [X], []
+    a = X
+    for W, b in zip(weights[:-1], biases[:-1]):
+        z = a @ W.T + b
+        zs.append(z)
+        a = np.maximum(z, 0.0)
+        acts.append(a)
+    return acts, zs, (a @ weights[-1].T + biases[-1])[:, 0]
+
+
+def reference_gradients(weights, biases, X, y):
+    """Backprop of mean((y - out)^2), one new array per weight and bias."""
+    acts, zs, out = reference_forward(weights, biases, X)
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(biases)
+    delta = ((2.0 / X.shape[0]) * (out - y))[:, None]
+    grads_w[-1] = delta.T @ acts[-1]
+    grads_b[-1] = delta.sum(axis=0)
+    back = delta @ weights[-1]
+    for k in range(len(weights) - 2, -1, -1):
+        dz = back * (zs[k] > 0.0)
+        grads_w[k] = dz.T @ acts[k]
+        grads_b[k] = dz.sum(axis=0)
+        back = dz @ weights[k]
+    return grads_w, grads_b
+
+
+class ReferenceAdam:
+    """Adam with bias-corrected moments, one moment pair per array."""
+
+    def __init__(self, weights, biases, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.lr, self.beta1, self.beta2, self.epsilon = lr, beta1, beta2, epsilon
+        self.t = 0
+        self.moments = [(np.zeros_like(p), np.zeros_like(p)) for p in (*weights, *biases)]
+
+    def step(self, weights, biases, grads_w, grads_b) -> None:
+        self.t += 1
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for p, g, (mom, vel) in zip((*weights, *biases), (*grads_w, *grads_b), self.moments):
+            mom *= self.beta1
+            mom += (1.0 - self.beta1) * g
+            vel *= self.beta2
+            vel += (1.0 - self.beta2) * g * g
+            p -= self.lr * (mom / c1) / (np.sqrt(vel / c2) + self.epsilon)
+
+
+def reference_train(train_pairs, test_pairs, n: int, m: int, lr: float, batch_size: int, epochs: int, seed: int):
+    """Training written out per array: He-initialized weights (one
+    standard_normal draw per layer, in layer order) and zero biases for
+    three hidden layers of width m*n + 1, training-split standardization
+    (a zero std counts as 1), then per epoch one permutation from the same
+    stream and mini-batch Adam steps, the last batch possibly short.
+
+    Returns (weights, biases, value_norm, target_norm, trace) with the trace
+    rows (epoch, train_mse, test_mse), epoch 0 being the untrained state.
+    """
+    rng = np.random.default_rng(seed)
+    dims = [m * n + 1] * 4 + [1]
+    weights = [rng.standard_normal((out, inp)) * np.sqrt(2.0 / inp) for out, inp in zip(dims[1:], dims[:-1])]
+    biases = [np.zeros(out) for out in dims[1:]]
+
+    def norm(values):
+        arr = np.asarray(values, dtype=np.float64)
+        std = float(arr.std())
+        return float(arr.mean()), std if std >= 1e-12 else 1.0
+
+    value_norm = norm([p.current_value for p in train_pairs])
+    target_norm = norm([p.target for p in train_pairs])
+    X_train, y_train = reference_encode(train_pairs, n, m, value_norm, target_norm)
+    X_test, y_test = reference_encode(test_pairs, n, m, value_norm, target_norm)
+
+    def mse(X, y):
+        return float(np.mean((y - reference_forward(weights, biases, X)[2]) ** 2))
+
+    adam = ReferenceAdam(weights, biases, lr)
+    trace = [(0, mse(X_train, y_train), mse(X_test, y_test))]
+    for epoch in range(1, epochs + 1):
+        perm = rng.permutation(len(train_pairs))
+        for start in range(0, len(train_pairs), batch_size):
+            idx = perm[start : start + batch_size]
+            adam.step(weights, biases, *reference_gradients(weights, biases, X_train[idx], y_train[idx]))
+        trace.append((epoch, mse(X_train, y_train), mse(X_test, y_test)))
+    return weights, biases, value_norm, target_norm, trace

@@ -210,14 +210,6 @@ def test_curves_csv_deterministic_and_marker(tmp_path):
     assert "# optimum unavailable at this scale" in p3.read_text()
 
 
-def test_curves_thread_pool_matches_serial(monkeypatch):
-    tables = [npd_table(6, 2, 60 + i) for i in range(2)]
-    serial = benchmark_curves(tables, make_estimators(tables), 30, [10, 30], master_seed=5)
-    monkeypatch.setenv("UCA_THREADS", "4")
-    threaded = benchmark_curves(tables, make_estimators(tables), 30, [10, 30], master_seed=5)
-    assert serial == threaded
-
-
 def test_curves_estimator_instance_count_validated():
     tables = [npd_table(5, 2, 70), npd_table(5, 2, 71)]
     with pytest.raises(ValueError):

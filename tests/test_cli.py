@@ -239,3 +239,63 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_solve_truncated_table_is_runtime_error(tmp_path, capsys):
+    table_path = tmp_path / "t.ucav"
+    run_cli(["generate", "--dist", "npd", "--n", "4", "--m", "2", "--seed", "1", "--out", str(table_path)])
+    table_path.write_bytes(table_path.read_bytes()[:-8])
+    assert run_cli(["solve", "--table", str(table_path)]) == 1
+    assert "value bytes" in capsys.readouterr().err
+
+
+def label_small_dataset(tmp_path):
+    table_path = tmp_path / "t.ucav"
+    data_path = tmp_path / "d.ucad"
+    run_cli(["generate", "--dist", "npd", "--n", "5", "--m", "2", "--seed", "1", "--out", str(table_path)])
+    run_cli(["label", "--table", str(table_path), "--kappa", "2", "--pairs", "20", "--seed", "2",
+             "--out", str(data_path)])
+    return data_path
+
+
+def test_train_truncated_dataset_is_runtime_error(tmp_path, capsys):
+    data_path = label_small_dataset(tmp_path)
+    data_path.write_bytes(data_path.read_bytes()[:-3])
+    code = run_cli(["train", "--data", str(data_path), "--out", str(tmp_path / "m.ucam"),
+                    "--lr-grid", "1e-3", "--batch-grid", "8", "--epochs", "1"])
+    assert code == 1
+    assert "record bytes" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_diverged_is_runtime_error(tmp_path, capsys):
+    data_path = label_small_dataset(tmp_path)
+    model_path = tmp_path / "m.ucam"
+    code = run_cli(["train", "--data", str(data_path), "--out", str(model_path),
+                    "--lr-grid", "1e200", "--batch-grid", "8", "--epochs", "3"])
+    assert code == 1
+    assert "diverged" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
+def test_pipeline_manifest_records_label_and_train_layers(tmp_path, capsys):
+    out_dir = tmp_path / "tiny"
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        "master_seed=5\nn=5\nm=2\nkappa=2\npairs_per_level=20\nepochs=3\n"
+        "learning_rate=1e-3\nbatch_size=8\ninstances=2\nevals=5\ncheckpoints=5\n"
+        f"out_dir={out_dir}\ndistributions=npd\n"
+    )
+    assert run_cli(["pipeline", "--config", str(cfg)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert {"label/npd", "train/npd", "generate/npd", "bench/npd"} <= set(manifest["timings_s"])
+    assert "label_train/npd" not in manifest["timings_s"]
+    assert sorted(manifest["train"]) == ["npd/0", "npd/1"]
+    for i in range(2):
+        record = manifest["train"][f"npd/{i}"]
+        # 40 records, ceil(0.9 * 40) = 36 for training: 5 batches of 8 per epoch
+        assert record["adam_steps"] == 3 * 5
+        last = (out_dir / "models" / f"npd_{i}_trace.csv").read_text().splitlines()[-1].split(",")
+        assert last[0] == "3"
+        assert record["final_train_loss"] == float(last[1])
+        assert record["final_test_loss"] == float(last[2])

@@ -456,3 +456,11 @@ def test_model_save_refuses_non_finite_parameters(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         model.save(path)
     assert not path.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_raises_at_first_diverged_epoch():
+    rng = np.random.default_rng(24)
+    pairs = make_pairs(2, 2, 60, rng, target_fn=linear_target(2, 2, rng))
+    with pytest.raises(ValueError, match="diverged at epoch 1:"):
+        train(pairs[:50], pairs[50:], TrainConfig(1e200, 16, 3, seed=25), 2, 2)
