@@ -17,7 +17,6 @@ from .bench import (
 )
 from .core import (
     Bundle,
-    ElementOrder,
     FormatError,
     PartialAssignment,
     ProblemSpec,
@@ -39,7 +38,6 @@ from .dataset import (
 from .exact import (
     BudgetExceededError,
     DEFAULT_NODE_BUDGET,
-    argmax_over_children,
     exact_value_to_go,
     solve_exact,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "CurvesReport",
     "DEFAULT_NODE_BUDGET",
     "DatasetConfig",
-    "ElementOrder",
     "Estimator",
     "FormatError",
     "LabeledPair",
@@ -81,7 +78,6 @@ __all__ = [
     "TrapParams",
     "UNASSIGNED",
     "ValueTable",
-    "argmax_over_children",
     "assigned_count",
     "backward",
     "benchmark_curves",

@@ -41,6 +41,19 @@ def _sampled_values(table: ValueTable, count: int, rng: np.random.Generator) -> 
     return table.values[masks, np.arange(m)].sum(axis=1)
 
 
+def _value_batches(table: ValueTable, samples: int, rng: np.random.Generator, batch_size: int):
+    """Values of `samples` uniform complete assignments, in batches of at
+    most batch_size; both checks run before the first draw."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    return (
+        _sampled_values(table, min(batch_size, samples - start), rng)
+        for start in range(0, samples, batch_size)
+    )
+
+
 def estimate_positive_probability(
     table: ValueTable,
     samples: int,
@@ -48,14 +61,7 @@ def estimate_positive_probability(
     batch_size: int = 1 << 20,
 ) -> tuple[float, int]:
     """Fraction of uniform complete assignments with positive value."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    positives = 0
-    remaining = samples
-    while remaining > 0:
-        count = min(remaining, batch_size)
-        positives += int((_sampled_values(table, count, rng) > 0).sum())
-        remaining -= count
+    positives = sum(int((vals > 0).sum()) for vals in _value_batches(table, samples, rng, batch_size))
     return positives / samples, positives
 
 
@@ -72,16 +78,11 @@ def value_histogram(
     outside that range are clipped into the boundary bins so the counts
     always sum to `samples`.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     if bins < 1:
         raise ValueError("bins must be at least 1")
     counts = np.zeros(bins, dtype=np.int64)
     edges = None
-    remaining = samples
-    while remaining > 0:
-        count = min(remaining, batch_size)
-        vals = _sampled_values(table, count, rng)
+    for vals in _value_batches(table, samples, rng, batch_size):
         if edges is None:
             lo, hi = float(vals.min()), float(vals.max())
             if lo == hi:
@@ -90,7 +91,6 @@ def value_histogram(
             pad = 0.05 * (hi - lo)
             edges = np.linspace(lo - pad, hi + pad, bins + 1)
         counts += np.histogram(np.clip(vals, edges[0], edges[-1]), bins=edges)[0]
-        remaining -= count
     return edges, counts
 
 
@@ -176,7 +176,6 @@ def benchmark_curves(
     checkpoints,
     master_seed: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    include_optimum: bool = True,
 ) -> CurvesReport:
     """Best-of-N curves averaged over problem instances with 95% CIs.
 
@@ -209,14 +208,13 @@ def benchmark_curves(
 
     optimum_mean = None
     optimum_ci = 0.0
-    if include_optimum:
-        try:
-            optima = np.array([solve_exact(t, node_budget)[1] for t in tables])
-            optimum_mean = float(optima.mean())
-            if k > 1:
-                optimum_ci = float(_CI_FACTOR * optima.std(ddof=1) / np.sqrt(k))
-        except BudgetExceededError:
-            optimum_mean = None
+    try:
+        optima = np.array([solve_exact(t, node_budget)[1] for t in tables])
+        optimum_mean = float(optima.mean())
+        if k > 1:
+            optimum_ci = float(_CI_FACTOR * optima.std(ddof=1) / np.sqrt(k))
+    except BudgetExceededError:
+        pass
     return CurvesReport(rows, optimum_mean, optimum_ci, k)
 
 

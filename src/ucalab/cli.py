@@ -42,38 +42,83 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+# Distribution parameters shared by `generate`'s flags and the pipeline's
+# config keys; a tau of None means n/2.
+DIST_DEFAULTS = {"mu": 1.0, "sigma": 0.1, "delta": 0.1, "tau": None, "eps": 0.1}
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _parse_list(text: str, kind=str) -> list:
+    """Comma-separated values; blank entries are skipped."""
+    return [kind(part.strip()) for part in text.split(",") if part.strip()]
 
 
-def _generate_table(dist: str, spec: ProblemSpec, args_like) -> ValueTable:
+def _generate_table(dist: str, spec: ProblemSpec, params) -> ValueTable:
     if dist == "npd":
-        return generate_npd(spec, NpdParams(mu=args_like["mu"], sigma=args_like["sigma"]))
+        return generate_npd(spec, NpdParams(mu=params["mu"], sigma=params["sigma"]))
     if dist == "trap":
-        tau = args_like["tau"]
+        tau = params["tau"]
         if tau is None:
             tau = spec.n / 2
-        params = TrapParams(
-            sigma=args_like["sigma"],
-            delta=args_like["delta"],
-            tau_threshold=tau,
-            epsilon=args_like["eps"],
-        )
-        return generate_trap(spec, params)
+        trap = TrapParams(sigma=params["sigma"], delta=params["delta"], tau_threshold=tau, epsilon=params["eps"])
+        return generate_trap(spec, trap)
     raise ConfigError(f"unknown distribution {dist!r}")
 
 
+def _label(table: ValueTable, cfg: DatasetConfig, budget: int, path) -> list:
+    """Label a dataset of `table` exactly and save it to `path`."""
+    pairs = build_dataset(ProblemSpec(table.n, table.m, table.seed), table, cfg, node_budget=budget)
+    save_dataset(path, pairs, table.n, table.m, cfg.kappa)
+    return pairs
+
+
+def _write_trace(path: Path, trace) -> None:
+    lines = ["epoch,train_loss,test_loss"]
+    for epoch, train_loss, test_loss in trace:
+        lines.append(f"{epoch},{repr(train_loss)},{repr(test_loss)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _fit(pairs, n, m, split_fraction, split_seed, lr_grid, batch_grid, epochs, train_seed, model_path, trace_path):
+    """Split `pairs`, train one model (grid search when a grid has several
+    values), and save the model and its trace.
+
+    Returns the chosen config, the model, the trace and the Adam step count.
+    """
+    train_pairs, test_pairs = split_dataset(pairs, split_fraction, np.random.default_rng(split_seed))
+    cfg = TrainConfig(lr_grid[0], batch_grid[0], epochs, seed=train_seed)
+    if len(lr_grid) == 1 and len(batch_grid) == 1:
+        model, trace = train(train_pairs, test_pairs, cfg, n, m)
+    else:
+        cfg, model, trace = grid_search(train_pairs, test_pairs, lr_grid, batch_grid, cfg, n, m)
+    model.save(model_path)
+    _write_trace(Path(trace_path), trace)
+    return cfg, model, trace, cfg.epochs * -(-len(train_pairs) // cfg.batch_size)
+
+
+def _estimators(names, models, count: int) -> dict[str, list[Estimator]]:
+    """One Estimator per table for each named heuristic; `models` holds the
+    neural heuristic's network for each table."""
+    estimators: dict[str, list[Estimator]] = {}
+    for name in names:
+        if name == "neural":
+            estimators[name] = [Estimator.neural(model) for model in models]
+        else:
+            estimators[name] = [Estimator(name)] * count
+    return estimators
+
+
+def _curves(tables, estimators, evals, checkpoints, seed, budget, csv_path: Path, dist: str = ""):
+    """Best-of-N curves over `tables`, written to csv_path and its .svg twin."""
+    report = benchmark_curves(tables, estimators, evals, checkpoints, seed, node_budget=budget)
+    prefix, title = (f"{dist}: ", f"Best solution value ({dist})") if dist else ("", "Best solution value")
+    if report.optimum_mean is None:
+        print(f"{prefix}optimum unavailable at this scale")
+    write_curves_report(report, csv_path, csv_path.with_suffix(".svg"), title=title)
+    return report
+
+
 def cmd_generate(args) -> int:
-    spec = ProblemSpec(args.n, args.m, args.seed)
-    table = _generate_table(
-        args.dist,
-        spec,
-        {"mu": args.mu, "sigma": args.sigma, "delta": args.delta, "tau": args.tau, "eps": args.eps},
-    )
+    table = _generate_table(args.dist, ProblemSpec(args.n, args.m, args.seed), vars(args))
     table.save(args.out)
     print(f"wrote {args.out}")
     return 0
@@ -87,42 +132,19 @@ def cmd_solve(args) -> int:
 
 
 def cmd_label(args) -> int:
-    table = ValueTable.load(args.table)
-    spec = ProblemSpec(table.n, table.m, table.seed)
     cfg = DatasetConfig(kappa=args.kappa, pairs_per_level=args.pairs, seed=args.seed)
-    pairs = build_dataset(spec, table, cfg, node_budget=args.budget)
-    save_dataset(args.out, pairs, table.n, table.m, args.kappa)
+    pairs = _label(ValueTable.load(args.table), cfg, args.budget, args.out)
     print(f"wrote {args.out} ({len(pairs)} records)")
     return 0
 
 
-def _write_trace(path: Path, trace) -> None:
-    lines = ["epoch,train_loss,test_loss"]
-    for epoch, train_loss, test_loss in trace:
-        lines.append(f"{epoch},{repr(train_loss)},{repr(test_loss)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def cmd_train(args) -> int:
     pairs, n, m, _ = load_dataset(args.data)
-    split_rng = np.random.default_rng(derive_seed(args.seed, "split"))
-    train_pairs, test_pairs = split_dataset(pairs, args.split, split_rng)
-    base = TrainConfig(
-        learning_rate=args.lr_grid[0],
-        batch_size=args.batch_grid[0],
-        epochs=args.epochs,
-        seed=derive_seed(args.seed, "train"),
+    trace_path = args.trace or Path(args.out).parent / "training_trace.csv"
+    chosen, _, trace, _ = _fit(
+        pairs, n, m, args.split, derive_seed(args.seed, "split"),
+        args.lr_grid, args.batch_grid, args.epochs, derive_seed(args.seed, "train"), args.out, trace_path,
     )
-    if len(args.lr_grid) == 1 and len(args.batch_grid) == 1:
-        model, trace = train(train_pairs, test_pairs, base, n, m)
-        chosen = base
-    else:
-        chosen, model, trace = grid_search(
-            train_pairs, test_pairs, args.lr_grid, args.batch_grid, base, n, m
-        )
-    model.save(args.out)
-    trace_path = Path(args.trace) if args.trace else Path(args.out).parent / "training_trace.csv"
-    _write_trace(trace_path, trace)
     print(
         f"wrote {args.out} (lr={chosen.learning_rate:g}, batch={chosen.batch_size}, "
         f"final test loss={trace[-1][2]:.6g})"
@@ -132,17 +154,12 @@ def cmd_train(args) -> int:
 
 def cmd_rollout(args) -> int:
     table = ValueTable.load(args.table)
-    if args.estimator == "neural":
-        if not args.model:
-            raise ConfigError("--model is required for the neural estimator")
-        estimator = Estimator.neural(MlpModel.load(args.model))
-    elif args.estimator == "current":
-        estimator = Estimator.current_value()
-    else:
-        estimator = Estimator.random()
-    rng = np.random.default_rng(args.seed)
+    if args.estimator == "neural" and not args.model:
+        raise ConfigError("--model is required for the neural estimator")
+    models = [MlpModel.load(args.model)] if args.estimator == "neural" else []
+    estimator = _estimators([args.estimator], models, 1)[args.estimator][0]
     checkpoints = args.checkpoints if args.checkpoints else [args.evals]
-    result = best_of_n(table, estimator, args.evals, checkpoints, rng)
+    result = best_of_n(table, estimator, args.evals, checkpoints, np.random.default_rng(args.seed))
     print("checkpoint,best_value")
     for evaluation, value in result.checkpoints:
         print(f"{evaluation},{repr(value)}")
@@ -174,13 +191,7 @@ def _require(config: dict[str, str], key: str) -> str:
 
 
 def _config_dist_params(config: dict[str, str]) -> dict:
-    return {
-        "mu": float(config.get("mu", "1.0")),
-        "sigma": float(config.get("sigma", "0.1")),
-        "delta": float(config.get("delta", "0.1")),
-        "tau": float(config["tau"]) if "tau" in config else None,
-        "eps": float(config.get("eps", "0.1")),
-    }
+    return {key: float(config[key]) if key in config else default for key, default in DIST_DEFAULTS.items()}
 
 
 def _sha256(path: Path) -> str:
@@ -215,7 +226,7 @@ def cmd_bench(args) -> int:
     if experiment == "prediction":
         table = ValueTable.load(_require(config, "table"))
         model = MlpModel.load(_require(config, "model"))
-        levels = _parse_int_list(_require(config, "levels"))
+        levels = _parse_list(_require(config, "levels"), int)
         samples = int(_require(config, "samples_per_level"))
         report = prediction_error_report(
             model, table, levels, samples, np.random.default_rng(seed), node_budget=budget
@@ -225,28 +236,18 @@ def cmd_bench(args) -> int:
         return 0
 
     if experiment == "curves":
-        table_paths = [p for p in _require(config, "tables").split(",") if p.strip()]
-        tables = [ValueTable.load(p.strip()) for p in table_paths]
-        names = [s.strip() for s in _require(config, "estimators").split(",") if s.strip()]
-        estimators: dict[str, list[Estimator]] = {}
-        for name in names:
-            if name == "neural":
-                model_paths = [p for p in _require(config, "models").split(",") if p.strip()]
-                if len(model_paths) != len(tables):
-                    raise ConfigError("models must list one model per table")
-                estimators[name] = [Estimator.neural(MlpModel.load(p.strip())) for p in model_paths]
-            elif name == "current":
-                estimators[name] = [Estimator.current_value()] * len(tables)
-            elif name == "random":
-                estimators[name] = [Estimator.random()] * len(tables)
-            else:
-                raise ConfigError(f"unknown estimator {name!r}")
+        tables = [ValueTable.load(p) for p in _parse_list(_require(config, "tables"))]
+        names = _parse_list(_require(config, "estimators"))
+        models = []
+        if "neural" in names:
+            model_paths = _parse_list(_require(config, "models"))
+            if len(model_paths) != len(tables):
+                raise ConfigError("models must list one model per table")
+            models = [MlpModel.load(p) for p in model_paths]
+        estimators = _estimators(names, models, len(tables))
         evals = int(_require(config, "evals"))
-        checkpoints = _parse_int_list(_require(config, "checkpoints"))
-        report = benchmark_curves(tables, estimators, evals, checkpoints, seed, node_budget=budget)
-        if report.optimum_mean is None:
-            print("optimum unavailable at this scale")
-        write_curves_report(report, out_dir / "curves.csv", out_dir / "curves.svg")
+        checkpoints = _parse_list(_require(config, "checkpoints"), int)
+        _curves(tables, estimators, evals, checkpoints, seed, budget, out_dir / "curves.csv")
         print(f"wrote {out_dir / 'curves.csv'}")
         return 0
 
@@ -269,14 +270,12 @@ def run_pipeline(config: dict[str, str]) -> dict:
     batch_size = int(_require(config, "batch_size"))
     instances = int(_require(config, "instances"))
     evals = int(_require(config, "evals"))
-    checkpoints = _parse_int_list(_require(config, "checkpoints"))
+    checkpoints = _parse_list(_require(config, "checkpoints"), int)
     out_dir = Path(_require(config, "out_dir"))
     split_fraction = float(config.get("split_fraction", "0.1"))
     budget = int(config.get("node_budget", str(DEFAULT_NODE_BUDGET)))
-    distributions = [s.strip() for s in config.get("distributions", "npd,trap").split(",") if s.strip()]
-    estimator_names = [
-        s.strip() for s in config.get("estimators", "current,random,neural").split(",") if s.strip()
-    ]
+    distributions = _parse_list(config.get("distributions", "npd,trap"))
+    estimator_names = _parse_list(config.get("estimators", "current,random,neural"))
     dist_params = _config_dist_params(config)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,17 +286,18 @@ def run_pipeline(config: dict[str, str]) -> dict:
         "config": dict(config), "seeds": {}, "files": {}, "timings_s": {}, "train": {}, "optimum": {}
     }
 
+    def stage_seed(label: str) -> int:
+        manifest["seeds"][label] = seed = derive_seed(master, label)
+        return seed
+
     def note_file(path: Path) -> None:
         manifest["files"][str(path.relative_to(out_dir))] = _sha256(path)
 
-    need_models = "neural" in estimator_names
     for dist in distributions:
         t0 = time.perf_counter()
         tables: list[ValueTable] = []
         for i in range(instances):
-            seed = derive_seed(master, f"table/{dist}/{i}")
-            manifest["seeds"][f"table/{dist}/{i}"] = seed
-            table = _generate_table(dist, ProblemSpec(n, m, seed), dist_params)
+            table = _generate_table(dist, ProblemSpec(n, m, stage_seed(f"table/{dist}/{i}")), dist_params)
             path = out_dir / "tables" / f"{dist}_{i}.ucav"
             table.save(path)
             note_file(path)
@@ -305,46 +305,29 @@ def run_pipeline(config: dict[str, str]) -> dict:
         manifest["timings_s"][f"generate/{dist}"] = round(time.perf_counter() - t0, 3)
 
         models: list[MlpModel] = []
-        if need_models:
+        if "neural" in estimator_names:
             label_s = train_s = 0.0
             for i, table in enumerate(tables):
                 t0 = time.perf_counter()
-                ds_seed = derive_seed(master, f"dataset/{dist}/{i}")
-                manifest["seeds"][f"dataset/{dist}/{i}"] = ds_seed
-                cfg = DatasetConfig(
-                    kappa=kappa,
-                    pairs_per_level=pairs_per_level,
-                    split_fraction=split_fraction,
-                    seed=ds_seed,
-                )
-                pairs = build_dataset(ProblemSpec(n, m, table.seed), table, cfg, node_budget=budget)
+                cfg = DatasetConfig(kappa, pairs_per_level, split_fraction, seed=stage_seed(f"dataset/{dist}/{i}"))
                 ds_path = out_dir / "datasets" / f"{dist}_{i}.ucad"
-                save_dataset(ds_path, pairs, n, m, kappa)
+                pairs = _label(table, cfg, budget, ds_path)
                 note_file(ds_path)
                 label_s += time.perf_counter() - t0
 
                 t0 = time.perf_counter()
-                split_rng = np.random.default_rng(derive_seed(master, f"split/{dist}/{i}"))
-                train_pairs, test_pairs = split_dataset(pairs, split_fraction, split_rng)
-                train_seed = derive_seed(master, f"train/{dist}/{i}")
-                manifest["seeds"][f"train/{dist}/{i}"] = train_seed
-                tcfg = TrainConfig(
-                    learning_rate=learning_rate,
-                    batch_size=batch_size,
-                    epochs=epochs,
-                    seed=train_seed,
+                model_path = out_dir / "models" / f"{dist}_{i}.ucam"
+                trace_path = out_dir / "models" / f"{dist}_{i}_trace.csv"
+                _, model, trace, steps = _fit(
+                    pairs, n, m, split_fraction, derive_seed(master, f"split/{dist}/{i}"),
+                    [learning_rate], [batch_size], epochs, stage_seed(f"train/{dist}/{i}"), model_path, trace_path,
                 )
-                model, trace = train(train_pairs, test_pairs, tcfg, n, m)
                 manifest["train"][f"{dist}/{i}"] = {
-                    "adam_steps": epochs * -(-len(train_pairs) // batch_size),
+                    "adam_steps": steps,
                     "final_train_loss": trace[-1][1],
                     "final_test_loss": trace[-1][2],
                 }
-                model_path = out_dir / "models" / f"{dist}_{i}.ucam"
-                model.save(model_path)
                 note_file(model_path)
-                trace_path = out_dir / "models" / f"{dist}_{i}_trace.csv"
-                _write_trace(trace_path, trace)
                 note_file(trace_path)
                 models.append(model)
                 train_s += time.perf_counter() - t0
@@ -352,29 +335,13 @@ def run_pipeline(config: dict[str, str]) -> dict:
             manifest["timings_s"][f"train/{dist}"] = round(train_s, 3)
 
         t0 = time.perf_counter()
-        estimators: dict[str, list[Estimator]] = {}
-        for name in estimator_names:
-            if name == "current":
-                estimators[name] = [Estimator.current_value()] * instances
-            elif name == "random":
-                estimators[name] = [Estimator.random()] * instances
-            elif name == "neural":
-                estimators[name] = [Estimator.neural(mdl) for mdl in models]
-            else:
-                raise ConfigError(f"unknown estimator {name!r}")
-        bench_seed = derive_seed(master, f"bench/{dist}")
-        manifest["seeds"][f"bench/{dist}"] = bench_seed
-        report = benchmark_curves(
-            tables, estimators, evals, checkpoints, bench_seed, node_budget=budget
-        )
-        if report.optimum_mean is None:
-            print(f"{dist}: optimum unavailable at this scale")
-        manifest["optimum"][dist] = report.optimum_mean
+        estimators = _estimators(estimator_names, models, instances)
         csv_path = out_dir / "curves" / f"curves_{dist}.csv"
-        svg_path = out_dir / "curves" / f"curves_{dist}.svg"
-        write_curves_report(report, csv_path, svg_path, title=f"Best solution value ({dist})")
+        seed = stage_seed(f"bench/{dist}")
+        report = _curves(tables, estimators, evals, checkpoints, seed, budget, csv_path, dist)
+        manifest["optimum"][dist] = report.optimum_mean
         note_file(csv_path)
-        note_file(svg_path)
+        note_file(csv_path.with_suffix(".svg"))
         manifest["timings_s"][f"bench/{dist}"] = round(time.perf_counter() - t0, 3)
 
     manifest_path = out_dir / "manifest.json"
@@ -400,11 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--tau", type=float, default=None, help="trap threshold (default n/2)")
-    p.add_argument("--eps", type=float, default=0.1)
+    for key, default in DIST_DEFAULTS.items():
+        p.add_argument(f"--{key}", type=float, default=default,
+                       help="trap threshold (default n/2)" if key == "tau" else None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -425,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the value-to-go network")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lr-grid", type=_parse_float_list, default=[1e-4, 3e-4, 1e-3, 3e-3])
-    p.add_argument("--batch-grid", type=_parse_int_list, default=[32, 64, 128])
+    p.add_argument("--lr-grid", type=lambda text: _parse_list(text, float), default=[1e-4, 3e-4, 1e-3, 3e-3])
+    p.add_argument("--batch-grid", type=lambda text: _parse_list(text, int), default=[32, 64, 128])
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--split", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
@@ -438,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=("current", "random", "neural"), required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--evals", type=int, required=True)
-    p.add_argument("--checkpoints", type=_parse_int_list, default=None)
+    p.add_argument("--checkpoints", type=lambda text: _parse_list(text, int), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_rollout)
 

@@ -182,25 +182,6 @@ class PartialAssignment:
         return masks
 
 
-@dataclass(frozen=True)
-class ElementOrder:
-    """A permutation of the element indices 0..n-1."""
-
-    perm: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("perm must be a permutation of 0..n-1")
-
-    @staticmethod
-    def identity(n: int) -> "ElementOrder":
-        return ElementOrder(tuple(range(n)))
-
-    @staticmethod
-    def shuffled(n: int, rng: np.random.Generator) -> "ElementOrder":
-        return ElementOrder(tuple(int(x) for x in rng.permutation(n)))
-
-
 def value_of(assignment: PartialAssignment, table: ValueTable) -> float:
     """Total value of a partial assignment: sum over alternatives of the
     bundle value, empty bundles included (they contribute values[0, t])."""

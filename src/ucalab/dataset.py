@@ -97,7 +97,9 @@ def split_dataset(
     rng: np.random.Generator,
 ) -> tuple[list[LabeledPair], list[LabeledPair]]:
     """Uniform shuffle, then ceil((1-f)*N) records for training and the rest
-    held out."""
+    held out. f must lie in (0, 1)."""
+    if not 0.0 < split_fraction < 1.0:
+        raise ValueError(f"split fraction must be in (0, 1), got {split_fraction}")
     order = rng.permutation(len(pairs))
     n_train = math.ceil((1.0 - split_fraction) * len(pairs))
     train = [pairs[i] for i in order[:n_train]]

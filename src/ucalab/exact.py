@@ -16,11 +16,9 @@ enumeration oracles.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .core import ElementOrder, PartialAssignment, ValueTable, expand_children
+from .core import PartialAssignment, ValueTable
 
 DEFAULT_NODE_BUDGET = 10**8
 BLOCK_COMPLETIONS = 4096
@@ -79,21 +77,12 @@ def _best_completion(values: np.ndarray, base: np.ndarray, bits: list[int]) -> t
 def exact_value_to_go(
     assignment: PartialAssignment,
     table: ValueTable,
-    order: ElementOrder | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> float:
-    """Best achievable total value over all completions of `assignment`.
-
-    Free elements are expanded in the order they appear in `order`
-    (identity by default); the maximum itself is order-invariant.
-    """
+    """Best achievable total value over all completions of `assignment`."""
     if assignment.n != table.n:
         raise ValueError(f"assignment has {assignment.n} elements, table expects {table.n}")
-    if order is None:
-        order = ElementOrder.identity(table.n)
-    if len(order.perm) != table.n:
-        raise ValueError("order length does not match the instance")
-    bits = [1 << e for e in order.perm if not assignment.is_assigned(e)]
+    bits = [1 << e for e in range(table.n) if not assignment.is_assigned(e)]
     needed = dfs_node_count(table.m, len(bits))
     if needed > node_budget:
         raise BudgetExceededError(needed, node_budget, f"depth {len(bits)}, branching {table.m}")
@@ -111,22 +100,3 @@ def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tu
         raise BudgetExceededError(needed, node_budget, f"depth {n}, branching {m}")
     value, where = _best_completion(table.values, np.zeros(m, dtype=np.int64), [1 << e for e in range(n)])
     return PartialAssignment.from_labels(np.unravel_index(where, (m,) * n)), value
-
-
-def argmax_over_children(
-    assignment: PartialAssignment,
-    element: int,
-    table: ValueTable,
-    estimator: Callable[[PartialAssignment], float],
-) -> int:
-    """Index of the child maximizing the estimator; ties go to the lowest
-    alternative index."""
-    children = expand_children(assignment, element, table.m)
-    best_i = 0
-    best_score = estimator(children[0])
-    for i in range(1, table.m):
-        score = estimator(children[i])
-        if score > best_score:
-            best_i = i
-            best_score = score
-    return best_i

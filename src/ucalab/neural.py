@@ -395,7 +395,8 @@ def train(
     Standardization constants come from the training split only. The
     training set is reshuffled each epoch from the seeded stream; the last
     mini-batch of an epoch may be short. Raises TrainingDivergedError at
-    the first epoch whose train or test loss is not finite.
+    the first epoch whose train or test loss is not finite; the overflow
+    on the way there raises no numpy warnings.
     """
     if not train_pairs or not test_pairs:
         raise ValueError("train and test sets must be nonempty")
@@ -421,15 +422,16 @@ def train(
             )
         trace.append(row)
 
-    record(0)
     size = len(train_pairs)
-    for epoch in range(1, cfg.epochs + 1):
-        perm = rng.permutation(size)
-        for start in range(0, size, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            _backward_arrays(model, X_train[idx], y_train[idx], *grads)
-            _adam_update(model.params, grad, state, cfg)
-        record(epoch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0)
+        for epoch in range(1, cfg.epochs + 1):
+            perm = rng.permutation(size)
+            for start in range(0, size, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                _backward_arrays(model, X_train[idx], y_train[idx], *grads)
+                _adam_update(model.params, grad, state, cfg)
+            record(epoch)
     return model, trace
 
 

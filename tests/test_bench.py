@@ -3,6 +3,7 @@ import pytest
 
 from oracles import all_completion_values
 
+from ucalab import bench
 from ucalab.bench import (
     benchmark_curves,
     estimate_positive_probability,
@@ -36,8 +37,22 @@ def test_probability_all_negative_and_all_positive():
 def test_probability_batching_is_seamless():
     table = npd_table(5, 2, 1)
     a = estimate_positive_probability(table, 1000, np.random.default_rng(2), batch_size=64)
-    b = estimate_positive_probability(table, 1000, np.random.default_rng(2), batch_size=64)
+    b = estimate_positive_probability(table, 1000, np.random.default_rng(2))
     assert a == b
+
+
+@pytest.mark.parametrize("sample", [
+    lambda table, rng: estimate_positive_probability(table, 10, rng, batch_size=0),
+    lambda table, rng: value_histogram(table, 10, 4, rng, batch_size=0),
+], ids=["probability", "histogram"])
+def test_value_sampling_refuses_empty_batches(sample, monkeypatch):
+    # a batch size of 0 used to loop forever drawing empty batches
+    def no_draws(*args):
+        raise AssertionError("drew samples before refusing the batch size")
+
+    monkeypatch.setattr(bench, "_sampled_values", no_draws)
+    with pytest.raises(ValueError, match="batch_size"):
+        sample(npd_table(4, 2, 0), np.random.default_rng(0))
 
 
 def test_histogram_counts_sum_to_samples():

@@ -299,3 +299,62 @@ def test_pipeline_manifest_records_label_and_train_layers(tmp_path, capsys):
         assert last[0] == "3"
         assert record["final_train_loss"] == float(last[1])
         assert record["final_test_loss"] == float(last[2])
+
+
+def test_train_split_outside_unit_interval_is_usage_error(tmp_path, capsys):
+    # --split 1.5 used to slice from the end and train on a silent 20/20 split
+    data_path = label_small_dataset(tmp_path)
+    for split in ("1.5", "0"):
+        code = run_cli(["train", "--data", str(data_path), "--out", str(tmp_path / "m.ucam"),
+                        "--lr-grid", "1e-3", "--batch-grid", "8", "--epochs", "1", "--split", split])
+        assert code == 2
+        assert "split fraction must be in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "m.ucam").exists()
+
+
+def test_train_diverged_prints_only_the_error_line(tmp_path):
+    data_path = label_small_dataset(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ucalab.cli", "train", "--data", str(data_path),
+         "--out", str(tmp_path / "m.ucam"), "--lr-grid", "1e200", "--batch-grid", "8", "--epochs", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: training diverged at epoch 1"), proc.stderr
+
+
+def test_subcommands_reproduce_pipeline_artifacts(tmp_path, capsys):
+    # each subcommand runs the same stage code as the pipeline, so the
+    # manifest's seeds reproduce its table, dataset and curves byte for byte
+    out_dir = tmp_path / "run"
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(
+        "master_seed=3\nn=5\nm=2\nkappa=2\npairs_per_level=20\nepochs=2\n"
+        "learning_rate=1e-3\nbatch_size=8\ninstances=2\nevals=6\ncheckpoints=2,6\n"
+        f"out_dir={out_dir}\ndistributions=npd\nmu=0\nsigma=1\n"
+    )
+    assert run_cli(["pipeline", "--config", str(cfg)]) == 0
+    seeds = json.loads((out_dir / "manifest.json").read_text())["seeds"]
+
+    table_path = tmp_path / "t.ucav"
+    assert run_cli(["generate", "--dist", "npd", "--n", "5", "--m", "2", "--mu", "0", "--sigma", "1",
+                    "--seed", str(seeds["table/npd/0"]), "--out", str(table_path)]) == 0
+    assert table_path.read_bytes() == (out_dir / "tables" / "npd_0.ucav").read_bytes()
+
+    data_path = tmp_path / "d.ucad"
+    assert run_cli(["label", "--table", str(table_path), "--kappa", "2", "--pairs", "20",
+                    "--seed", str(seeds["dataset/npd/0"]), "--out", str(data_path)]) == 0
+    assert data_path.read_bytes() == (out_dir / "datasets" / "npd_0.ucad").read_bytes()
+
+    bench_cfg = tmp_path / "curves.cfg"
+    tables = ",".join(str(out_dir / "tables" / f"npd_{i}.ucav") for i in range(2))
+    models = ",".join(str(out_dir / "models" / f"npd_{i}.ucam") for i in range(2))
+    bench_cfg.write_text(
+        f"tables={tables}\nmodels={models}\nestimators=current,random,neural\n"
+        f"evals=6\ncheckpoints=2,6\nseed={seeds['bench/npd']}\n"
+    )
+    assert run_cli(["bench", "--experiment", "curves", "--config", str(bench_cfg),
+                    "--out-dir", str(tmp_path / "bench")]) == 0
+    assert (tmp_path / "bench" / "curves.csv").read_bytes() == (out_dir / "curves" / "curves_npd.csv").read_bytes()

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucalab.core import (
-    ElementOrder,
     PartialAssignment,
     ProblemSpec,
     UNASSIGNED,
@@ -177,15 +176,6 @@ def test_partial_assignment_mask_consistency_enforced():
         PartialAssignment((0, UNASSIGNED), 0b10)
     with pytest.raises(ValueError):
         PartialAssignment((-3, UNASSIGNED), 0b01)
-
-
-def test_element_order_validation():
-    ElementOrder((2, 0, 1))
-    with pytest.raises(ValueError):
-        ElementOrder((0, 0, 1))
-    assert ElementOrder.identity(4).perm == (0, 1, 2, 3)
-    perm = ElementOrder.shuffled(6, np.random.default_rng(0)).perm
-    assert sorted(perm) == list(range(6))
 
 
 def test_table_file_round_trip(tmp_path):

@@ -139,6 +139,9 @@ def test_split_sizes_and_union():
         tr, te = split_dataset(subset, 0.25, rng)
         assert len(tr) == math.ceil(0.75 * n_total)
         assert Counter(tr + te) == Counter(subset)
+    for fraction in (0.0, 1.0, 1.5, -0.5):
+        with pytest.raises(ValueError, match="split fraction"):
+            split_dataset(pairs, fraction, rng)
 
 
 def test_dataset_file_round_trip(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from oracles import all_completion_values, brute_force_best
 
 from ucalab.core import (
-    ElementOrder,
     PartialAssignment,
     ProblemSpec,
     expand_children,
@@ -12,7 +11,6 @@ from ucalab.core import (
 )
 from ucalab.exact import (
     BudgetExceededError,
-    argmax_over_children,
     dfs_node_count,
     exact_value_to_go,
     solve_exact,
@@ -51,16 +49,6 @@ def test_matches_flat_enumeration_from_partial():
         labels = [int(x) for x in rng.integers(-1, 3, size=9)]
         s = PartialAssignment.from_labels(labels)
         assert exact_value_to_go(s, table) == float(all_completion_values(table, s).max())
-
-
-def test_root_value_is_order_independent():
-    table = npd_table(6, 3, 8)
-    rng = np.random.default_rng(0)
-    empty = PartialAssignment.empty(6)
-    reference = exact_value_to_go(empty, table, ElementOrder.identity(6))
-    for _ in range(5):
-        order = ElementOrder.shuffled(6, rng)
-        assert exact_value_to_go(empty, table, order) == reference
 
 
 def test_bellman_consistency_and_monotone_dominance():
@@ -130,38 +118,3 @@ def test_dfs_node_count():
     assert dfs_node_count(1, 4) == 5
     assert dfs_node_count(3, 2) == 1 + 3 + 9
     assert dfs_node_count(10, 3) == 1111
-
-
-def test_argmax_over_children_tie_breaks_low():
-    table = npd_table(3, 3, 80)
-    s = PartialAssignment.empty(3)
-    assert argmax_over_children(s, 0, table, lambda c: 1.0) == 0
-    scores = {0: 1.0, 1: 3.0, 2: 2.0}
-    assert argmax_over_children(s, 0, table, lambda c: scores[c.labels[0]]) == 1
-
-
-def test_argmax_over_children_with_exact_estimator_stays_optimal():
-    table = npd_table(6, 3, 90)
-    s = PartialAssignment.empty(6)
-    optimum = exact_value_to_go(s, table)
-    for e in range(6):
-        pick = argmax_over_children(s, e, table, lambda c: exact_value_to_go(c, table))
-        s = expand_children(s, e, table.m)[pick]
-        assert exact_value_to_go(s, table) == optimum
-    assert value_of(s, table) == optimum
-
-
-def test_order_prefix_discipline_matches_recurrence():
-    # assigning elements along a fixed order and asking for the value to go
-    # at each prefix reproduces the nested-max structure of the recurrence
-    table = npd_table(5, 2, 95)
-    order = ElementOrder((4, 2, 0, 1, 3))
-    s = PartialAssignment.empty(5)
-    values = [exact_value_to_go(s, table, order)]
-    for e in order.perm:
-        children = expand_children(s, e, 2)
-        child_vals = [exact_value_to_go(c, table, order) for c in children]
-        assert values[-1] == max(child_vals)
-        s = children[int(np.argmax(child_vals))]
-        values.append(exact_value_to_go(s, table, order))
-    assert values[-1] == value_of(s, table)

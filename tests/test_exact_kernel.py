@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import all_completion_values
 
 from ucalab import exact
-from ucalab.core import ElementOrder, PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable
+from ucalab.core import PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable
 from ucalab.exact import exact_value_to_go, solve_exact
 from ucalab.valuegen import NpdParams, generate_npd
 
@@ -49,12 +49,10 @@ def test_solve_exact_is_first_argmax_of_flat_enumeration(table, block):
 @given(tables(), block_sizes, st.data())
 def test_value_to_go_matches_oracle_bitwise(table, block, data):
     labels = data.draw(st.lists(st.integers(UNASSIGNED, table.m - 1), min_size=table.n, max_size=table.n))
-    order = ElementOrder(tuple(data.draw(st.permutations(range(table.n)))))
     assignment = PartialAssignment.from_labels(labels)
     expected = all_completion_values(table, assignment).max()
     with mock.patch.object(exact, "BLOCK_COMPLETIONS", block):
         assert exact_value_to_go(assignment, table) == expected
-        assert exact_value_to_go(assignment, table, order) == expected
 
 
 def test_solve_exact_memory_stays_within_one_block():

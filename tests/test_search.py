@@ -36,6 +36,9 @@ def test_single_alternative_rollout_is_unique_assignment():
     for est in (Estimator.current_value(), Estimator.random()):
         s = greedy_rollout(table, est, np.random.default_rng(1))
         assert s.labels == (0, 0, 0, 0)
+    # on a constant table every child ties, and ties go to alternative 0
+    flat = ValueTable(4, 3, np.ones((1 << 4, 3)))
+    assert greedy_rollout(flat, Estimator.current_value(), np.random.default_rng(1)).labels == (0, 0, 0, 0)
 
 
 def test_rollouts_always_complete_and_disjoint():
