@@ -16,13 +16,11 @@ from .bench import (
     value_histogram,
 )
 from .core import (
-    Bundle,
     FormatError,
     PartialAssignment,
     ProblemSpec,
     UNASSIGNED,
     ValueTable,
-    assigned_count,
     expand_children,
     value_of,
 )
@@ -59,7 +57,6 @@ from .seeding import derive_seed
 from .valuegen import NpdParams, TrapParams, generate_npd, generate_trap, trap_mean
 
 __all__ = [
-    "Bundle",
     "BudgetExceededError",
     "CurvesReport",
     "DEFAULT_NODE_BUDGET",
@@ -78,7 +75,6 @@ __all__ = [
     "TrapParams",
     "UNASSIGNED",
     "ValueTable",
-    "assigned_count",
     "backward",
     "benchmark_curves",
     "best_of_n",

@@ -13,19 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ProblemSpec, ValueTable
-from .dataset import sample_partial_assignment
-from .exact import (
-    BudgetExceededError,
-    DEFAULT_NODE_BUDGET,
-    dfs_node_count,
-    exact_value_to_go,
-    solve_exact,
-)
+from .core import ValueTable
+from .dataset import label_levels
+from .exact import BudgetExceededError, DEFAULT_NODE_BUDGET, solve_exact
 from .neural import MlpModel, predict_value_to_go
 from .search import Estimator, best_of_n
 from .seeding import derived_rng
-from .svg import Curve, write_line_chart, write_scatter
+from .svg import Curve, padded_range, write_line_chart, write_scatter
 
 _CI_FACTOR = 1.96  # normal-approximation 95% interval over instance means
 
@@ -84,12 +78,7 @@ def value_histogram(
     edges = None
     for vals in _value_batches(table, samples, rng, batch_size):
         if edges is None:
-            lo, hi = float(vals.min()), float(vals.max())
-            if lo == hi:
-                lo -= 0.5
-                hi += 0.5
-            pad = 0.05 * (hi - lo)
-            edges = np.linspace(lo - pad, hi + pad, bins + 1)
+            edges = np.linspace(*padded_range(float(vals.min()), float(vals.max())), bins + 1)
         counts += np.histogram(np.clip(vals, edges[0], edges[-1]), bins=edges)[0]
     return edges, counts
 
@@ -119,8 +108,9 @@ def prediction_error_report(
     """Exact-minus-predicted statistics grouped by unassigned count.
 
     `predictor` is either a trained MlpModel or any callable mapping a
-    partial assignment to a predicted value-to-go. Every level's exact
-    labeling cost is checked against the node budget before sampling.
+    partial assignment to a predicted value-to-go. Records are sampled and
+    labeled by `dataset.label_levels`, which checks every level's exact
+    labeling cost against the node budget before sampling.
     """
     if samples_per_level < 1:
         raise ValueError("samples_per_level must be at least 1")
@@ -129,24 +119,13 @@ def prediction_error_report(
         predict = lambda s: predict_value_to_go(model, s, table)  # noqa: E731
     else:
         predict = predictor
-    spec = ProblemSpec(table.n, table.m, table.seed)
     levels = [int(k) for k in levels]
-    for k in levels:
-        if not 1 <= k <= table.n:
-            raise ValueError(f"level {k} out of range")
-        cost = samples_per_level * dfs_node_count(table.m, k)
-        if cost > node_budget:
-            raise BudgetExceededError(cost, node_budget, f"level with {k} unassigned")
+    pairs = label_levels(table, levels, samples_per_level, rng, node_budget)
+    scatter = [(pair.target, float(predict(pair.assignment))) for pair in pairs]
     rows = []
-    scatter: list[tuple[float, float]] = []
-    for k in levels:
-        errors = np.empty(samples_per_level)
-        for s in range(samples_per_level):
-            assignment = sample_partial_assignment(spec, table.n - k, rng)
-            true_value = exact_value_to_go(assignment, table, node_budget=node_budget)
-            predicted = float(predict(assignment))
-            errors[s] = true_value - predicted
-            scatter.append((true_value, predicted))
+    for i, k in enumerate(levels):
+        level = scatter[i * samples_per_level : (i + 1) * samples_per_level]
+        errors = np.array([true_value - predicted for true_value, predicted in level])
         std = float(errors.std(ddof=1)) if samples_per_level > 1 else 0.0
         rows.append(LevelErrorRow(k, float(errors.mean()), std, samples_per_level))
     return PredictionErrorReport(rows, scatter)
@@ -239,23 +218,23 @@ def write_histogram(csv_path: str | Path, svg_path: str | Path | None, edges: np
                          xlabel="assignment value", ylabel="count")
 
 
-def write_prediction_report(report: PredictionErrorReport, out_dir: str | Path, stem: str = "prediction") -> list[Path]:
-    """Emit <stem>_errors.csv/.svg and <stem>_scatter.csv/.svg; returns paths."""
+def write_prediction_report(report: PredictionErrorReport, out_dir: str | Path) -> list[Path]:
+    """Emit prediction_errors.csv/.svg and prediction_scatter.csv/.svg; returns paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    errors_csv = out_dir / f"{stem}_errors.csv"
+    errors_csv = out_dir / "prediction_errors.csv"
     lines = ["unassigned,mean_error,std_error,n_samples"]
     for row in report.rows:
         lines.append(f"{row.unassigned},{_fmt(row.mean_error)},{_fmt(row.std_error)},{row.n_samples}")
     errors_csv.write_text("\n".join(lines) + "\n")
 
-    scatter_csv = out_dir / f"{stem}_scatter.csv"
+    scatter_csv = out_dir / "prediction_scatter.csv"
     lines = ["true_value,predicted_value"]
     for true_value, predicted in report.scatter:
         lines.append(f"{_fmt(true_value)},{_fmt(predicted)}")
     scatter_csv.write_text("\n".join(lines) + "\n")
 
-    errors_svg = out_dir / f"{stem}_errors.svg"
+    errors_svg = out_dir / "prediction_errors.svg"
     curve = Curve(
         "mean error (bars: 2 std)",
         [(row.unassigned, row.mean_error) for row in report.rows],
@@ -263,7 +242,7 @@ def write_prediction_report(report: PredictionErrorReport, out_dir: str | Path, 
     )
     write_line_chart(errors_svg, [curve], title="Prediction error by unassigned count",
                      xlabel="unassigned elements", ylabel="true minus predicted")
-    scatter_svg = out_dir / f"{stem}_scatter.svg"
+    scatter_svg = out_dir / "prediction_scatter.svg"
     write_scatter(scatter_svg, report.scatter, title="Predicted vs true value-to-go",
                   xlabel="true value", ylabel="predicted value")
     return [errors_csv, scatter_csv, errors_svg, scatter_svg]

@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .core import FormatError, ProblemSpec, ValueTable
 from .dataset import DatasetConfig, build_dataset, load_dataset, save_dataset, split_dataset
 from .exact import BudgetExceededError, DEFAULT_NODE_BUDGET, solve_exact
 from .neural import MlpModel, TrainConfig, TrainingDivergedError, grid_search, train
-from .search import Estimator, best_of_n
+from .search import ESTIMATOR_KINDS, Estimator, best_of_n, checked_checkpoints
 from .seeding import derive_seed
 from .valuegen import NpdParams, TrapParams, generate_npd, generate_trap
 
@@ -42,9 +43,16 @@ class ConfigError(ValueError):
     pass
 
 
+DISTRIBUTIONS = ("npd", "trap")
 # Distribution parameters shared by `generate`'s flags and the pipeline's
 # config keys; a tau of None means n/2.
 DIST_DEFAULTS = {"mu": 1.0, "sigma": 0.1, "delta": 0.1, "tau": None, "eps": 0.1}
+# Every key a pipeline config may set: the required keys, then the optional ones.
+PIPELINE_KEYS = (
+    "master_seed", "n", "m", "kappa", "pairs_per_level", "epochs", "learning_rate", "batch_size",
+    "instances", "evals", "checkpoints", "out_dir",
+    "split_fraction", "node_budget", "distributions", "estimators", *DIST_DEFAULTS,
+)
 
 
 def _parse_list(text: str, kind=str) -> list:
@@ -153,9 +161,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_rollout(args) -> int:
+    if (args.estimator == "neural") != bool(args.model):
+        raise ConfigError("--model is required for the neural estimator and refused for the others")
     table = ValueTable.load(args.table)
-    if args.estimator == "neural" and not args.model:
-        raise ConfigError("--model is required for the neural estimator")
     models = [MlpModel.load(args.model)] if args.estimator == "neural" else []
     estimator = _estimators([args.estimator], models, 1)[args.estimator][0]
     checkpoints = args.checkpoints if args.checkpoints else [args.evals]
@@ -258,8 +266,13 @@ def run_pipeline(config: dict[str, str]) -> dict:
     """generate -> label -> train -> benchmark curves, with derived seeds.
 
     Returns the manifest; artifacts and manifest.json land in out_dir.
-    Any missing required key raises ConfigError naming the key.
+    The whole config is checked before the first stage: a missing required
+    key or an unknown key raises ConfigError naming the key, and so does a
+    value out of range.
     """
+    unknown_keys = [key for key in config if key not in PIPELINE_KEYS]
+    if unknown_keys:
+        raise ConfigError(f"unknown config key: {', '.join(unknown_keys)}")
     master = int(_require(config, "master_seed"))
     n = int(_require(config, "n"))
     m = int(_require(config, "m"))
@@ -277,6 +290,16 @@ def run_pipeline(config: dict[str, str]) -> dict:
     distributions = _parse_list(config.get("distributions", "npd,trap"))
     estimator_names = _parse_list(config.get("estimators", "current,random,neural"))
     dist_params = _config_dist_params(config)
+    if not 0.0 < split_fraction < 1.0:
+        raise ConfigError(f"split_fraction must be in (0, 1), got {split_fraction}")
+    unknown_names = [name for name in distributions if name not in DISTRIBUTIONS]
+    unknown_names += [name for name in estimator_names if name not in ESTIMATOR_KINDS]
+    if unknown_names:
+        raise ConfigError(f"unknown distribution or estimator: {', '.join(unknown_names)}")
+    # Constructing the stage settings refuses out-of-range values before any stage runs.
+    dataset_cfg = DatasetConfig(kappa, pairs_per_level)
+    TrainConfig(learning_rate, batch_size, epochs)
+    checked_checkpoints(evals, checkpoints)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for sub in ("tables", "datasets", "models", "curves"):
@@ -309,7 +332,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
             label_s = train_s = 0.0
             for i, table in enumerate(tables):
                 t0 = time.perf_counter()
-                cfg = DatasetConfig(kappa, pairs_per_level, split_fraction, seed=stage_seed(f"dataset/{dist}/{i}"))
+                cfg = replace(dataset_cfg, seed=stage_seed(f"dataset/{dist}/{i}"))
                 ds_path = out_dir / "datasets" / f"{dist}_{i}.ucad"
                 pairs = _label(table, cfg, budget, ds_path)
                 note_file(ds_path)
@@ -363,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a value table")
-    p.add_argument("--dist", choices=("npd", "trap"), required=True)
+    p.add_argument("--dist", choices=DISTRIBUTIONS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -400,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rollout", help="best-of-N greedy rollouts")
     p.add_argument("--table", required=True)
-    p.add_argument("--estimator", choices=("current", "random", "neural"), required=True)
+    p.add_argument("--estimator", choices=ESTIMATOR_KINDS, required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--evals", type=int, required=True)
     p.add_argument("--checkpoints", type=lambda text: _parse_list(text, int), default=None)

@@ -10,16 +10,13 @@ table representable (84 MB at n=20, m=10).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 MAX_ELEMENTS = 30
 UNASSIGNED = -1
-
-# Bundles are plain bitmasks: bit j set means element j is in the bundle.
-Bundle = int
 
 
 class FormatError(ValueError):
@@ -72,13 +69,6 @@ class ValueTable:
         self.values = arr
         self.values.setflags(write=False)
 
-    def lookup(self, mask: Bundle, alternative: int) -> float:
-        if not 0 <= mask < (1 << self.n):
-            raise ValueError(f"mask {mask} out of range for n={self.n}")
-        if not 0 <= alternative < self.m:
-            raise ValueError(f"alternative {alternative} out of range for m={self.m}")
-        return float(self.values[mask, alternative])
-
     def save(self, path: str | Path) -> None:
         """Write the table in the UCAV binary format (little-endian).
 
@@ -117,13 +107,13 @@ class ValueTable:
 class PartialAssignment:
     """Per-element alternative labels; UNASSIGNED marks free elements.
 
-    `assigned_mask` caches the bitmask of labeled elements and must stay
-    consistent with `labels`. The per-alternative bundles derived from the
+    `assigned_mask`, the bitmask of labeled elements, is derived from the
+    labels on construction. The per-alternative bundles derived from the
     labels are pairwise disjoint by construction.
     """
 
     labels: tuple[int, ...]
-    assigned_mask: int
+    assigned_mask: int = field(init=False)
 
     def __post_init__(self) -> None:
         mask = 0
@@ -133,21 +123,15 @@ class PartialAssignment:
             if lab < 0:
                 raise ValueError(f"label {lab} at element {j} is invalid")
             mask |= 1 << j
-        if mask != self.assigned_mask:
-            raise ValueError("assigned_mask inconsistent with labels")
+        object.__setattr__(self, "assigned_mask", mask)
 
     @staticmethod
     def empty(n: int) -> "PartialAssignment":
-        return PartialAssignment((UNASSIGNED,) * n, 0)
+        return PartialAssignment((UNASSIGNED,) * n)
 
     @staticmethod
     def from_labels(labels) -> "PartialAssignment":
-        labels = tuple(int(x) for x in labels)
-        mask = 0
-        for j, lab in enumerate(labels):
-            if lab != UNASSIGNED:
-                mask |= 1 << j
-        return PartialAssignment(labels, mask)
+        return PartialAssignment(tuple(int(x) for x in labels))
 
     @property
     def n(self) -> int:
@@ -168,7 +152,7 @@ class PartialAssignment:
             raise ValueError(f"alternative {alternative} is invalid")
         labels = list(self.labels)
         labels[element] = alternative
-        return PartialAssignment(tuple(labels), self.assigned_mask | (1 << element))
+        return PartialAssignment(tuple(labels))
 
     def bundle_masks(self, m: int) -> np.ndarray:
         """Per-alternative bundle bitmasks as an int64 array of length m."""
@@ -199,7 +183,3 @@ def expand_children(assignment: PartialAssignment, element: int, m: int) -> list
     if assignment.is_assigned(element):
         raise ValueError(f"element {element} is already assigned")
     return [assignment.with_label(element, t) for t in range(m)]
-
-
-def assigned_count(assignment: PartialAssignment) -> int:
-    return assignment.assigned_mask.bit_count()

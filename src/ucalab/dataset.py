@@ -4,8 +4,8 @@ A dataset holds (assignment, current value, value-to-go) records sampled
 level by level: for each unassigned count u in 1..kappa, the same number
 of uniformly random partial assignments, each labeled by exhaustive
 search. Labeling one record costs m^u node visits, which is why kappa
-stays small and the per-level cost is checked against a node budget
-up front.
+stays small and every level's cost is checked against a node budget
+before the first draw.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable, value_of
+from .core import MAX_ELEMENTS, FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable, value_of
 from .exact import DEFAULT_NODE_BUDGET, BudgetExceededError, dfs_node_count, exact_value_to_go
 
 _DATASET_MAGIC = b"UCAD"
@@ -29,11 +29,10 @@ _UNASSIGNED_BYTE = 255
 @dataclass(frozen=True)
 class DatasetConfig:
     """kappa: deepest unassigned count to label; pairs_per_level: records per
-    level; split_fraction: held-out share."""
+    level."""
 
     kappa: int
     pairs_per_level: int = 10_000
-    split_fraction: float = 0.10
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -41,8 +40,6 @@ class DatasetConfig:
             raise ValueError("kappa must be at least 1")
         if self.pairs_per_level < 1:
             raise ValueError("pairs_per_level must be at least 1")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -65,6 +62,35 @@ def sample_partial_assignment(spec: ProblemSpec, i: int, rng: np.random.Generato
     return PartialAssignment.from_labels(labels)
 
 
+def label_levels(
+    table: ValueTable,
+    levels,
+    per_level: int,
+    rng: np.random.Generator,
+    node_budget: int,
+) -> list[LabeledPair]:
+    """per_level uniform partial assignments with exact labels for each
+    unassigned count in `levels`, ordered by (level, draw index).
+
+    Every level's range and labeling cost is checked before the first draw.
+    """
+    for unassigned in levels:
+        if not 1 <= unassigned <= table.n:
+            raise ValueError(f"level {unassigned} out of range for n={table.n}")
+        level_cost = per_level * dfs_node_count(table.m, unassigned)
+        if level_cost > node_budget:
+            raise BudgetExceededError(level_cost, node_budget, f"level with {unassigned} unassigned")
+    spec = ProblemSpec(table.n, table.m, table.seed)
+    pairs: list[LabeledPair] = []
+    for unassigned in levels:
+        for _ in range(per_level):
+            assignment = sample_partial_assignment(spec, table.n - unassigned, rng)
+            current = value_of(assignment, table)
+            target = exact_value_to_go(assignment, table, node_budget=node_budget)
+            pairs.append(LabeledPair(assignment, current, target))
+    return pairs
+
+
 def build_dataset(
     spec: ProblemSpec,
     table: ValueTable,
@@ -78,17 +104,7 @@ def build_dataset(
     if cfg.kappa > spec.n:
         raise ValueError(f"kappa {cfg.kappa} exceeds n={spec.n}")
     rng = np.random.default_rng(cfg.seed)
-    pairs: list[LabeledPair] = []
-    for unassigned in range(1, cfg.kappa + 1):
-        level_cost = cfg.pairs_per_level * dfs_node_count(spec.m, unassigned)
-        if level_cost > node_budget:
-            raise BudgetExceededError(level_cost, node_budget, f"level with {unassigned} unassigned")
-        for _ in range(cfg.pairs_per_level):
-            assignment = sample_partial_assignment(spec, spec.n - unassigned, rng)
-            current = value_of(assignment, table)
-            target = exact_value_to_go(assignment, table, node_budget=node_budget)
-            pairs.append(LabeledPair(assignment, current, target))
-    return pairs
+    return label_levels(table, range(1, cfg.kappa + 1), cfg.pairs_per_level, rng, node_budget)
 
 
 def split_dataset(
@@ -140,7 +156,10 @@ def save_dataset(path: str | Path, pairs: list[LabeledPair], n: int, m: int, kap
 
 
 def load_dataset(path: str | Path) -> tuple[list[LabeledPair], int, int, int]:
-    """Read a UCAD file; returns (pairs, n, m, kappa)."""
+    """Read a UCAD file; returns (pairs, n, m, kappa).
+
+    The header's n and m and every record's labels are checked before any
+    record is built."""
     data = Path(path).read_bytes()
     if len(data) < _DATASET_HEADER.size:
         raise FormatError(f"{path}: truncated dataset file")
@@ -149,11 +168,17 @@ def load_dataset(path: str | Path) -> tuple[list[LabeledPair], int, int, int]:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {_DATASET_MAGIC!r}")
     if version != _DATASET_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if not 1 <= n <= MAX_ELEMENTS or not 1 <= m <= _UNASSIGNED_BYTE:
+        raise FormatError(f"{path}: invalid dimensions n={n}, m={m}")
     dtype = _record_dtype(n)
     expected = count * dtype.itemsize
     if len(data) - _DATASET_HEADER.size != expected:
         raise FormatError(f"{path}: expected {expected} record bytes, found {len(data) - _DATASET_HEADER.size}")
     records = np.frombuffer(data, dtype=dtype, offset=_DATASET_HEADER.size)
+    bad = np.argwhere((records["labels"] != _UNASSIGNED_BYTE) & (records["labels"] >= m))
+    if len(bad):
+        r, j = bad[0]
+        raise FormatError(f"{path}: record {r}: label {records['labels'][r, j]} at element {j} exceeds m={m}")
     pairs = []
     for rec in records:
         labels = [UNASSIGNED if b == _UNASSIGNED_BYTE else int(b) for b in rec["labels"]]

@@ -19,7 +19,9 @@ layout, and Adam updates the parameters and both moments as whole vectors
 with the same per-element expression a per-array update evaluates, so a
 trained model is bitwise the model of the per-array arithmetic (the tests
 keep that arithmetic as an oracle). Training stops with
-TrainingDivergedError at the first epoch whose loss is not finite.
+TrainingDivergedError at the first epoch whose loss is not finite, or
+whose Adam step left a parameter non-finite; no step is taken on
+non-finite parameters.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ _NORM_STRUCT = struct.Struct("<dddd")
 _LAYER_HEADER = struct.Struct("<II")
 
 HIDDEN_LAYERS = 3
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class TrainingDivergedError(ValueError):
@@ -50,9 +56,6 @@ class TrainConfig:
     learning_rate: float
     batch_size: int
     epochs: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -62,8 +65,6 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("Adam betas must lie in (0, 1)")
 
 
 def _pack(weights, biases) -> np.ndarray:
@@ -187,10 +188,6 @@ def standardize(x: float, norm: tuple[float, float]) -> float:
     return (x - norm[0]) / norm[1]
 
 
-def destandardize(x: float, norm: tuple[float, float]) -> float:
-    return x * norm[1] + norm[0]
-
-
 def encode_input(
     assignment: PartialAssignment,
     current_value: float,
@@ -208,18 +205,6 @@ def encode_input(
         vec[lab * n + j] = 1.0
     vec[m * n] = standardize(current_value, value_norm)
     return vec
-
-
-def decode_labels(vec: np.ndarray, n: int, m: int) -> tuple[int, ...]:
-    """Invert the matrix part of encode_input back to per-element labels."""
-    matrix = np.asarray(vec[: m * n]).reshape(m, n)
-    labels = []
-    for j in range(n):
-        hits = np.flatnonzero(matrix[:, j] == 1.0)
-        if hits.size > 1:
-            raise ValueError(f"element {j} is marked for {hits.size} alternatives")
-        labels.append(int(hits[0]) if hits.size else UNASSIGNED)
-    return tuple(labels)
 
 
 def _forward_std(model: MlpModel, X: np.ndarray):
@@ -342,19 +327,19 @@ def _adam_update(params: np.ndarray, grad: np.ndarray, state: AdamState, cfg: Tr
     """
     state.step += 1
     t = state.step
-    c1 = 1.0 - cfg.beta1**t
-    c2 = 1.0 - cfg.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     step, denom = state.scratch
-    state.mom *= cfg.beta1
-    np.multiply(grad, 1.0 - cfg.beta1, out=step)
+    state.mom *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
     state.mom += step
-    state.vel *= cfg.beta2
-    np.multiply(grad, 1.0 - cfg.beta2, out=step)
+    state.vel *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
     step *= grad
     state.vel += step
     np.divide(state.vel, c2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += cfg.epsilon
+    denom += ADAM_EPSILON
     np.divide(state.mom, c1, out=step)
     step *= cfg.learning_rate
     step /= denom
@@ -395,8 +380,10 @@ def train(
     Standardization constants come from the training split only. The
     training set is reshuffled each epoch from the seeded stream; the last
     mini-batch of an epoch may be short. Raises TrainingDivergedError at
-    the first epoch whose train or test loss is not finite; the overflow
-    on the way there raises no numpy warnings.
+    the first epoch whose train or test loss is not finite, or whose Adam
+    step left a parameter non-finite; the epoch ends at that step, so no
+    step runs on non-finite parameters. The overflow on the way there
+    raises no numpy warnings.
     """
     if not train_pairs or not test_pairs:
         raise ValueError("train and test sets must be nonempty")
@@ -416,7 +403,7 @@ def train(
     def record(epoch: int) -> None:
         train_loss = _loss_arrays(model, X_train, y_train, scratch)
         row = (epoch, train_loss, _loss_arrays(model, X_test, y_test, scratch))
-        if not (np.isfinite(row[1]) and np.isfinite(row[2])):
+        if not (np.isfinite(row[1]) and np.isfinite(row[2]) and np.isfinite(model.params).all()):
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: train loss {row[1]!r}, test loss {row[2]!r}"
             )
@@ -431,6 +418,8 @@ def train(
                 idx = perm[start : start + cfg.batch_size]
                 _backward_arrays(model, X_train[idx], y_train[idx], *grads)
                 _adam_update(model.params, grad, state, cfg)
+                if not np.isfinite(model.params).all():
+                    break
             record(epoch)
     return model, trace
 

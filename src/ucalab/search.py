@@ -17,7 +17,7 @@ import numpy as np
 from .core import PartialAssignment, ValueTable, value_of
 from .neural import MlpModel, forward
 
-_KINDS = ("current", "random", "neural")
+ESTIMATOR_KINDS = ("current", "random", "neural")
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class Estimator:
     model: MlpModel | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.kind == "neural" and self.model is None:
             raise ValueError("neural estimator requires a model")
@@ -95,6 +95,18 @@ def greedy_rollout(table: ValueTable, estimator: Estimator, rng: np.random.Gener
     return PartialAssignment.from_labels(labels)
 
 
+def checked_checkpoints(n_evals: int, checkpoints) -> list[int]:
+    """The checkpoints as ints, refused unless sorted within 1..n_evals."""
+    if n_evals < 1:
+        raise ValueError("n_evals must be at least 1")
+    checkpoints = [int(c) for c in checkpoints]
+    if checkpoints != sorted(checkpoints):
+        raise ValueError("checkpoints must be sorted ascending")
+    if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n_evals):
+        raise ValueError("checkpoints must lie in 1..n_evals")
+    return checkpoints
+
+
 def best_of_n(
     table: ValueTable,
     estimator: Estimator,
@@ -104,13 +116,7 @@ def best_of_n(
 ) -> RolloutResult:
     """Run n_evals independent rollouts (one evaluation = one complete
     rollout) and track the running maximum value."""
-    if n_evals < 1:
-        raise ValueError("n_evals must be at least 1")
-    checkpoints = [int(c) for c in checkpoints]
-    if checkpoints != sorted(checkpoints):
-        raise ValueError("checkpoints must be sorted ascending")
-    if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n_evals):
-        raise ValueError("checkpoints must lie in 1..n_evals")
+    checkpoints = checked_checkpoints(n_evals, checkpoints)
     best_value = -np.inf
     best_assignment = None
     recorded: list[tuple[int, float]] = []

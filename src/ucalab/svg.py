@@ -22,7 +22,8 @@ class Curve:
     err: list[float] | None = None  # half-width of a vertical bar per point
 
 
-def _bounds(lo: float, hi: float) -> tuple[float, float]:
+def padded_range(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) widened by 5% of its width on each side; an empty range first widens to width 1."""
     if lo == hi:
         lo -= 0.5
         hi += 0.5
@@ -87,8 +88,8 @@ def write_line_chart(
             ys.extend(y + e for (_, y), e in zip(c.points, c.err))
     if hline is not None:
         ys.append(hline[1])
-    xlo, xhi = _bounds(min(xs), max(xs))
-    ylo, yhi = _bounds(min(ys), max(ys))
+    xlo, xhi = padded_range(min(xs), max(xs))
+    ylo, yhi = padded_range(min(ys), max(ys))
     sx, sy = _scales(xlo, xhi, ylo, yhi)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">']
     _axes(parts, sx, sy, xlo, xhi, ylo, yhi, title, xlabel, ylabel)
@@ -134,7 +135,7 @@ def write_scatter(
     ys = [y for _, y in points] or [0.0]
     lo = min(min(xs), min(ys))
     hi = max(max(xs), max(ys))
-    lo, hi = _bounds(lo, hi)
+    lo, hi = padded_range(lo, hi)
     sx, sy = _scales(lo, hi, lo, hi)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">']
     _axes(parts, sx, sy, lo, hi, lo, hi, title, xlabel, ylabel)

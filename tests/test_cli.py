@@ -358,3 +358,50 @@ def test_subcommands_reproduce_pipeline_artifacts(tmp_path, capsys):
     assert run_cli(["bench", "--experiment", "curves", "--config", str(bench_cfg),
                     "--out-dir", str(tmp_path / "bench")]) == 0
     assert (tmp_path / "bench" / "curves.csv").read_bytes() == (out_dir / "curves" / "curves_npd.csv").read_bytes()
+
+
+def test_rollout_model_with_other_estimator_is_usage_error(tmp_path, capsys):
+    table_path = tmp_path / "t.ucav"
+    run_cli(["generate", "--dist", "npd", "--n", "4", "--m", "2", "--seed", "1", "--out", str(table_path)])
+    capsys.readouterr()
+    for estimator in ("current", "random"):
+        code = run_cli(["rollout", "--table", str(table_path), "--estimator", estimator,
+                        "--model", str(tmp_path / "missing.ucam"), "--evals", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--model" in captured.err and captured.out == ""
+
+
+def test_train_on_dataset_with_out_of_range_label_is_runtime_error(tmp_path, capsys):
+    data_path = label_small_dataset(tmp_path)
+    raw = bytearray(data_path.read_bytes())
+    # the first record's labels start after the 25-byte header and its u32 mask
+    labels = raw[29:34]
+    element = next(j for j, b in enumerate(labels) if b != 255)
+    raw[29 + element] = 7
+    data_path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    code = run_cli(["train", "--data", str(data_path), "--out", str(tmp_path / "m.ucam"),
+                    "--lr-grid", "1e-3", "--batch-grid", "8", "--epochs", "1"])
+    assert code == 1
+    assert f"record 0: label 7 at element {element} exceeds m=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("split_fracton=0.2\n", "unknown config key: split_fracton"),
+        ("split_fraction=1.5\n", "split_fraction must be in (0, 1), got 1.5"),
+        ("estimators=current,greedy\n", "unknown distribution or estimator: greedy"),
+        ("checkpoints=10,40\n", "checkpoints must lie in 1..n_evals"),
+    ],
+    ids=["misspelt-key", "split-fraction", "unknown-estimator", "checkpoint-beyond-evals"],
+)
+def test_pipeline_refuses_bad_config_before_the_first_stage(tmp_path, capsys, extra, message):
+    out_dir = tmp_path / "run"
+    cfg = tmp_path / "p.cfg"
+    # a later line overrides an earlier one, so `extra` replaces any default
+    cfg.write_text(PIPELINE_CONFIG.format(out_dir=out_dir) + extra)
+    assert run_cli(["pipeline", "--config", str(cfg)]) == 2
+    assert not out_dir.exists()
+    assert message in capsys.readouterr().err

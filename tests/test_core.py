@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_encode
 from ucalab.core import (
     PartialAssignment,
     ProblemSpec,
     UNASSIGNED,
     ValueTable,
-    assigned_count,
     expand_children,
     value_of,
 )
-from ucalab.neural import decode_labels, encode_input
+from ucalab.dataset import LabeledPair
+from ucalab.neural import encode_input
 from ucalab.valuegen import NpdParams, generate_npd
 
 
@@ -43,15 +44,6 @@ def test_value_table_validation():
     table = ValueTable(2, 2, np.zeros((4, 2)))
     with pytest.raises(ValueError):
         table.values[0, 0] = 1.0
-
-
-def test_value_table_lookup_bounds():
-    table = ValueTable(2, 2, np.arange(8, dtype=float).reshape(4, 2))
-    assert table.lookup(3, 1) == 7.0
-    with pytest.raises(ValueError):
-        table.lookup(4, 0)
-    with pytest.raises(ValueError):
-        table.lookup(0, 2)
 
 
 def test_value_of_all_unassigned_sums_empty_bundles():
@@ -123,7 +115,7 @@ def test_expand_children_structure_random():
             assert len(children) == m
             assert len(set(c.labels for c in children)) == m
             for child in children:
-                assert assigned_count(child) == assigned_count(s) + 1
+                assert child.assigned_mask == s.assigned_mask | (1 << e)
                 # restriction to previously assigned elements is unchanged
                 for j in range(n):
                     if j != e:
@@ -134,15 +126,6 @@ def test_expand_children_structure_random():
                     for k in range(i + 1, m):
                         assert bm[i] & bm[k] == 0
             s = children[int(rng.integers(m))]
-
-
-def test_assigned_count():
-    assert assigned_count(PartialAssignment.empty(5)) == 0
-    assert assigned_count(PartialAssignment.from_labels([0] * 20)) == 20
-    s = PartialAssignment.empty(6)
-    for k, e in enumerate([3, 0, 5]):
-        s = expand_children(s, e, 2)[k % 2]
-        assert assigned_count(s) == k + 1
 
 
 def test_value_of_label_permutation_covariance():
@@ -167,15 +150,19 @@ def test_matrix_encoding_round_trip():
         n, m = int(rng.integers(1, 8)), int(rng.integers(1, 5))
         labels = [int(x) for x in rng.integers(-1, m, size=n)]
         s = PartialAssignment.from_labels(labels)
-        vec = encode_input(s, 0.0, m)
-        assert decode_labels(vec, n, m) == s.labels
+        value, norm = float(rng.normal()), (float(rng.normal()), float(rng.uniform(0.5, 2.0)))
+        expected, _ = reference_encode([LabeledPair(s, value, 0.0)], n, m, norm, (0.0, 1.0))
+        assert np.array_equal(encode_input(s, value, m, norm), expected[0])
 
 
 def test_partial_assignment_mask_consistency_enforced():
-    with pytest.raises(ValueError):
+    # the mask is derived from the labels, so a caller cannot pass one
+    assert PartialAssignment((0, UNASSIGNED)).assigned_mask == 0b01
+    assert PartialAssignment.empty(3).with_label(2, 1).assigned_mask == 0b100
+    with pytest.raises(TypeError):
         PartialAssignment((0, UNASSIGNED), 0b10)
     with pytest.raises(ValueError):
-        PartialAssignment((-3, UNASSIGNED), 0b01)
+        PartialAssignment((-3, UNASSIGNED))
 
 
 def test_table_file_round_trip(tmp_path):
@@ -221,7 +208,7 @@ def test_from_labels_mask_matches_labels(labels):
     s = PartialAssignment.from_labels(labels)
     for j, lab in enumerate(labels):
         assert ((s.assigned_mask >> j) & 1) == (lab != UNASSIGNED)
-    assert assigned_count(s) == sum(1 for lab in labels if lab != UNASSIGNED)
+    assert s.assigned_mask.bit_count() == sum(1 for lab in labels if lab != UNASSIGNED)
 
 
 @settings(max_examples=40, deadline=None)

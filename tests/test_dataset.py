@@ -1,4 +1,5 @@
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from oracles import all_completion_values
 
-from ucalab.core import PartialAssignment, ProblemSpec, UNASSIGNED, value_of
+from ucalab import exact
+from ucalab.bench import prediction_error_report
+from ucalab.core import FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, value_of
 from ucalab.dataset import (
     DatasetConfig,
     LabeledPair,
@@ -116,8 +119,6 @@ def test_config_validation():
         DatasetConfig(kappa=0)
     with pytest.raises(ValueError):
         DatasetConfig(kappa=2, pairs_per_level=0)
-    with pytest.raises(ValueError):
-        DatasetConfig(kappa=2, split_fraction=1.0)
     spec = ProblemSpec(3, 2, 0)
     table = npd_table(3, 2, 0)
     with pytest.raises(ValueError):
@@ -189,3 +190,43 @@ def test_save_dataset_refuses_labels_that_collide_with_the_sentinel(tmp_path):
     with pytest.raises(ValueError, match="m=256"):
         save_dataset(path, pairs, 2, 256, 1)
     assert not path.exists()
+
+
+def write_ucad(path, n, m, records=()):
+    """A UCAD file written byte by byte: (mask, label bytes) records with zero values."""
+    payload = b"".join(
+        struct.pack("<I", mask) + bytes(labels) + struct.pack("<dd", 0.0, 0.0) for mask, labels in records
+    )
+    path.write_bytes(struct.pack("<4sBIIIQ", b"UCAD", 1, n, m, 1, len(records)) + payload)
+
+
+def test_load_dataset_refuses_impossible_headers_and_labels(tmp_path):
+    path = tmp_path / "d.ucad"
+    write_ucad(path, 3, 2, [(0b011, [0, 1, 255])])
+    assert load_dataset(path)[0][0].assignment.labels == (0, 1, UNASSIGNED)
+    # label byte 7 with m=2 used to load and fail later, inside training
+    write_ucad(path, 3, 2, [(0b011, [0, 1, 255]), (0b110, [255, 0, 7])])
+    with pytest.raises(FormatError, match="record 1: label 7 at element 2 exceeds m=2"):
+        load_dataset(path)
+    for n, m in ((0, 2), (40, 2), (3, 0), (3, 256)):
+        write_ucad(path, n, m)
+        with pytest.raises(FormatError, match=f"invalid dimensions n={n}, m={m}"):
+            load_dataset(path)
+
+
+def test_over_budget_level_is_refused_before_any_labeling(monkeypatch):
+    # levels 1 and 2 fit the budget; level 3 (1,000 x 85 nodes) does not
+    calls = []
+    real = exact._best_completion
+    monkeypatch.setattr(exact, "_best_completion", lambda *a: calls.append(a) or real(*a))
+    spec = ProblemSpec(8, 4, 5)
+    table = npd_table(8, 4, 5)
+    cfg = DatasetConfig(kappa=3, pairs_per_level=1000, seed=0)
+    with pytest.raises(BudgetExceededError, match="level with 3 unassigned"):
+        build_dataset(spec, table, cfg, node_budget=50_000)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(BudgetExceededError, match="level with 3 unassigned"):
+        prediction_error_report(lambda s: 0.0, table, [1, 2, 3], 1000, rng, node_budget=50_000)
+    assert calls == []
+    assert rng.bit_generator.state == state

@@ -1,4 +1,5 @@
-"""The README's library layout table and `ucalab.__all__` name only what exists."""
+"""The README's library layout table and `ucalab.__all__` name only what
+exists, and its pipeline config section lists exactly the accepted keys."""
 
 import importlib
 import re
@@ -33,3 +34,14 @@ def test_every_exported_name_imports():
     namespace = {}
     exec("from ucalab import *", namespace)
     assert set(ucalab.__all__) <= set(namespace)
+
+
+def test_readme_pipeline_keys_are_the_accepted_keys():
+    from ucalab.cli import PIPELINE_KEYS
+
+    section = README.read_text().split("### Pipeline config", 1)[1].split("\n#", 1)[0]
+    required = re.findall(r"^(\w+)=", section, flags=re.MULTILINE)
+    optional_paragraph = section.split("Optional:", 1)[1].split("\n\n", 1)[0]
+    optional = re.findall(r"`(\w+)`", optional_paragraph)
+    assert required == list(PIPELINE_KEYS[: len(required)])
+    assert set(required) | set(optional) == set(PIPELINE_KEYS)
