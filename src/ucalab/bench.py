@@ -22,6 +22,7 @@ from .seeding import derived_rng
 from .svg import Curve, padded_range, write_line_chart, write_scatter
 
 _CI_FACTOR = 1.96  # normal-approximation 95% interval over instance means
+MC_BATCH = 1 << 20  # Monte Carlo samples drawn per vectorized batch
 
 
 def _sampled_values(table: ValueTable, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -35,27 +36,20 @@ def _sampled_values(table: ValueTable, count: int, rng: np.random.Generator) -> 
     return table.values[masks, np.arange(m)].sum(axis=1)
 
 
-def _value_batches(table: ValueTable, samples: int, rng: np.random.Generator, batch_size: int):
+def _value_batches(table: ValueTable, samples: int, rng: np.random.Generator):
     """Values of `samples` uniform complete assignments, in batches of at
-    most batch_size; both checks run before the first draw."""
+    most MC_BATCH; the sample count is checked before the first draw."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
     return (
-        _sampled_values(table, min(batch_size, samples - start), rng)
-        for start in range(0, samples, batch_size)
+        _sampled_values(table, min(MC_BATCH, samples - start), rng)
+        for start in range(0, samples, MC_BATCH)
     )
 
 
-def estimate_positive_probability(
-    table: ValueTable,
-    samples: int,
-    rng: np.random.Generator,
-    batch_size: int = 1 << 20,
-) -> tuple[float, int]:
+def estimate_positive_probability(table: ValueTable, samples: int, rng: np.random.Generator) -> tuple[float, int]:
     """Fraction of uniform complete assignments with positive value."""
-    positives = sum(int((vals > 0).sum()) for vals in _value_batches(table, samples, rng, batch_size))
+    positives = sum(int((vals > 0).sum()) for vals in _value_batches(table, samples, rng))
     return positives / samples, positives
 
 
@@ -64,7 +58,6 @@ def value_histogram(
     samples: int,
     bins: int,
     rng: np.random.Generator,
-    batch_size: int = 1 << 20,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of assignment values over uniform samples.
 
@@ -76,7 +69,7 @@ def value_histogram(
         raise ValueError("bins must be at least 1")
     counts = np.zeros(bins, dtype=np.int64)
     edges = None
-    for vals in _value_batches(table, samples, rng, batch_size):
+    for vals in _value_batches(table, samples, rng):
         if edges is None:
             edges = np.linspace(*padded_range(float(vals.min()), float(vals.max())), bins + 1)
         counts += np.histogram(np.clip(vals, edges[0], edges[-1]), bins=edges)[0]
@@ -197,25 +190,25 @@ def benchmark_curves(
     return CurvesReport(rows, optimum_mean, optimum_ci, k)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def csv_line(values) -> str:
+    """One line of the CSV dialect every report uses: floats as their
+    repr, every other value as str, joined by commas."""
+    return ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values)
 
 
-def write_probability_csv(path: str | Path, samples: int, positives: int, probability: float) -> None:
-    lines = ["samples,positives,probability", f"{samples},{positives},{_fmt(probability)}"]
+def write_csv(path: str | Path, columns: str, rows, comments=()) -> None:
+    """Write a CSV file: one `# ` line per comment, the column header, one
+    csv_line per row, and a trailing newline."""
+    lines = [f"# {comment}" for comment in comments] + [columns] + [csv_line(row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_histogram(csv_path: str | Path, svg_path: str | Path | None, edges: np.ndarray, counts: np.ndarray) -> None:
-    lines = ["bin_low,bin_high,count"]
-    for i, c in enumerate(counts):
-        lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(c)}")
-    Path(csv_path).write_text("\n".join(lines) + "\n")
-    if svg_path is not None:
-        centers = (edges[:-1] + edges[1:]) / 2
-        curve = Curve("count", list(zip(centers.tolist(), counts.astype(float).tolist())))
-        write_line_chart(svg_path, [curve], title="Assignment value distribution",
-                         xlabel="assignment value", ylabel="count")
+def write_histogram(csv_path: str | Path, svg_path: str | Path, edges: np.ndarray, counts: np.ndarray) -> None:
+    write_csv(csv_path, "bin_low,bin_high,count", zip(edges[:-1], edges[1:], counts.tolist()))
+    centers = (edges[:-1] + edges[1:]) / 2
+    curve = Curve("count", list(zip(centers.tolist(), counts.astype(float).tolist())))
+    write_line_chart(svg_path, [curve], title="Assignment value distribution",
+                     xlabel="assignment value", ylabel="count")
 
 
 def write_prediction_report(report: PredictionErrorReport, out_dir: str | Path) -> list[Path]:
@@ -223,16 +216,10 @@ def write_prediction_report(report: PredictionErrorReport, out_dir: str | Path) 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     errors_csv = out_dir / "prediction_errors.csv"
-    lines = ["unassigned,mean_error,std_error,n_samples"]
-    for row in report.rows:
-        lines.append(f"{row.unassigned},{_fmt(row.mean_error)},{_fmt(row.std_error)},{row.n_samples}")
-    errors_csv.write_text("\n".join(lines) + "\n")
-
+    write_csv(errors_csv, "unassigned,mean_error,std_error,n_samples",
+              [(row.unassigned, row.mean_error, row.std_error, row.n_samples) for row in report.rows])
     scatter_csv = out_dir / "prediction_scatter.csv"
-    lines = ["true_value,predicted_value"]
-    for true_value, predicted in report.scatter:
-        lines.append(f"{_fmt(true_value)},{_fmt(predicted)}")
-    scatter_csv.write_text("\n".join(lines) + "\n")
+    write_csv(scatter_csv, "true_value,predicted_value", report.scatter)
 
     errors_svg = out_dir / "prediction_errors.svg"
     curve = Curve(
@@ -251,38 +238,29 @@ def write_prediction_report(report: PredictionErrorReport, out_dir: str | Path) 
 def write_curves_report(
     report: CurvesReport,
     csv_path: str | Path,
-    svg_path: str | Path | None = None,
+    svg_path: str | Path,
     title: str = "Best solution value",
 ) -> None:
-    lines = [
-        f"# 95% CI: normal approximation, mean +/- {_CI_FACTOR}*sd/sqrt({report.n_instances})",
-    ]
+    comments = [f"95% CI: normal approximation, mean +/- {_CI_FACTOR}*sd/sqrt({report.n_instances})"]
+    csv_rows = [(row.estimator, row.checkpoint, row.mean, row.ci_low, row.ci_high) for row in report.rows]
     if report.optimum_mean is None:
-        lines.append("# optimum unavailable at this scale")
-    lines.append("estimator,checkpoint,mean,ci_low,ci_high")
-    for row in report.rows:
-        lines.append(
-            f"{row.estimator},{row.checkpoint},{_fmt(row.mean)},{_fmt(row.ci_low)},{_fmt(row.ci_high)}"
-        )
-    if report.optimum_mean is not None:
-        checkpoints = sorted({row.checkpoint for row in report.rows})
+        comments.append("optimum unavailable at this scale")
+    else:
         o, h = report.optimum_mean, report.optimum_ci
-        for c in checkpoints:
-            lines.append(f"optimum,{c},{_fmt(o)},{_fmt(o - h)},{_fmt(o + h)}")
-    Path(csv_path).write_text("\n".join(lines) + "\n")
+        csv_rows += [("optimum", c, o, o - h, o + h) for c in sorted({row.checkpoint for row in report.rows})]
+    write_csv(csv_path, "estimator,checkpoint,mean,ci_low,ci_high", csv_rows, comments)
 
-    if svg_path is not None:
-        labels = list(dict.fromkeys(row.estimator for row in report.rows))
-        curves = []
-        for label in labels:
-            rows = [row for row in report.rows if row.estimator == label]
-            curves.append(
-                Curve(
-                    label,
-                    [(row.checkpoint, row.mean) for row in rows],
-                    [(row.ci_high - row.ci_low) / 2 for row in rows],
-                )
+    labels = list(dict.fromkeys(row.estimator for row in report.rows))
+    curves = []
+    for label in labels:
+        rows = [row for row in report.rows if row.estimator == label]
+        curves.append(
+            Curve(
+                label,
+                [(row.checkpoint, row.mean) for row in rows],
+                [(row.ci_high - row.ci_low) / 2 for row in rows],
             )
-        hline = ("optimum", report.optimum_mean) if report.optimum_mean is not None else None
-        write_line_chart(svg_path, curves, title=title, xlabel="number of evaluations",
-                         ylabel="best solution value", hline=hline)
+        )
+    hline = ("optimum", report.optimum_mean) if report.optimum_mean is not None else None
+    write_line_chart(svg_path, curves, title=title, xlabel="number of evaluations",
+                     ylabel="best solution value", hline=hline)

@@ -22,13 +22,14 @@ import numpy as np
 
 from .bench import (
     benchmark_curves,
+    csv_line,
     estimate_positive_probability,
     prediction_error_report,
     value_histogram,
+    write_csv,
     write_curves_report,
     write_histogram,
     write_prediction_report,
-    write_probability_csv,
 )
 from .core import FormatError, ProblemSpec, ValueTable
 from .dataset import DatasetConfig, build_dataset, load_dataset, save_dataset, split_dataset
@@ -53,6 +54,13 @@ PIPELINE_KEYS = (
     "instances", "evals", "checkpoints", "out_dir",
     "split_fraction", "node_budget", "distributions", "estimators", *DIST_DEFAULTS,
 )
+# Every key each bench experiment's config may set: the required keys, then the optional ones.
+BENCH_KEYS = {
+    "probability": ("table", "samples", "seed"),
+    "histogram": ("table", "samples", "bins", "seed"),
+    "prediction": ("table", "model", "levels", "samples_per_level", "seed", "node_budget"),
+    "curves": ("tables", "estimators", "evals", "checkpoints", "models", "seed", "node_budget"),
+}
 
 
 def _parse_list(text: str, kind=str) -> list:
@@ -79,13 +87,6 @@ def _label(table: ValueTable, cfg: DatasetConfig, budget: int, path) -> list:
     return pairs
 
 
-def _write_trace(path: Path, trace) -> None:
-    lines = ["epoch,train_loss,test_loss"]
-    for epoch, train_loss, test_loss in trace:
-        lines.append(f"{epoch},{repr(train_loss)},{repr(test_loss)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _fit(pairs, n, m, split_fraction, split_seed, lr_grid, batch_grid, epochs, train_seed, model_path, trace_path):
     """Split `pairs`, train one model (grid search when a grid has several
     values), and save the model and its trace.
@@ -99,7 +100,7 @@ def _fit(pairs, n, m, split_fraction, split_seed, lr_grid, batch_grid, epochs, t
     else:
         cfg, model, trace = grid_search(train_pairs, test_pairs, lr_grid, batch_grid, cfg, n, m)
     model.save(model_path)
-    _write_trace(Path(trace_path), trace)
+    write_csv(trace_path, "epoch,train_loss,test_loss", trace)
     return cfg, model, trace, cfg.epochs * -(-len(train_pairs) // cfg.batch_size)
 
 
@@ -135,7 +136,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     table = ValueTable.load(args.table)
     assignment, value = solve_exact(table, node_budget=args.budget)
-    print(",".join([repr(value)] + [str(lab) for lab in assignment.labels]))
+    print(csv_line([value, *assignment.labels]))
     return 0
 
 
@@ -169,8 +170,8 @@ def cmd_rollout(args) -> int:
     checkpoints = args.checkpoints if args.checkpoints else [args.evals]
     result = best_of_n(table, estimator, args.evals, checkpoints, np.random.default_rng(args.seed))
     print("checkpoint,best_value")
-    for evaluation, value in result.checkpoints:
-        print(f"{evaluation},{repr(value)}")
+    for row in result.checkpoints:
+        print(csv_line(row))
     return 0
 
 
@@ -192,6 +193,12 @@ def read_config(path: str | Path) -> dict[str, str]:
     return config
 
 
+def _check_keys(config: dict[str, str], accepted) -> None:
+    unknown = [key for key in config if key not in accepted]
+    if unknown:
+        raise ConfigError(f"unknown config key: {', '.join(unknown)}")
+
+
 def _require(config: dict[str, str], key: str) -> str:
     if key not in config:
         raise ConfigError(f"missing config key: {key}")
@@ -208,9 +215,10 @@ def _sha256(path: Path) -> str:
 
 def cmd_bench(args) -> int:
     config = read_config(args.config)
+    experiment = args.experiment
+    _check_keys(config, BENCH_KEYS[experiment])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    experiment = args.experiment
     seed = int(config.get("seed", "0"))
     budget = int(config.get("node_budget", str(DEFAULT_NODE_BUDGET)))
 
@@ -218,7 +226,7 @@ def cmd_bench(args) -> int:
         table = ValueTable.load(_require(config, "table"))
         samples = int(_require(config, "samples"))
         prob, positives = estimate_positive_probability(table, samples, np.random.default_rng(seed))
-        write_probability_csv(out_dir / "probability.csv", samples, positives, prob)
+        write_csv(out_dir / "probability.csv", "samples,positives,probability", [(samples, positives, prob)])
         print(f"P(V>0) = {prob:.6g} ({positives}/{samples})")
         return 0
 
@@ -243,23 +251,21 @@ def cmd_bench(args) -> int:
         print(f"wrote {', '.join(str(p) for p in paths)}")
         return 0
 
-    if experiment == "curves":
-        tables = [ValueTable.load(p) for p in _parse_list(_require(config, "tables"))]
-        names = _parse_list(_require(config, "estimators"))
-        models = []
-        if "neural" in names:
-            model_paths = _parse_list(_require(config, "models"))
-            if len(model_paths) != len(tables):
-                raise ConfigError("models must list one model per table")
-            models = [MlpModel.load(p) for p in model_paths]
-        estimators = _estimators(names, models, len(tables))
-        evals = int(_require(config, "evals"))
-        checkpoints = _parse_list(_require(config, "checkpoints"), int)
-        _curves(tables, estimators, evals, checkpoints, seed, budget, out_dir / "curves.csv")
-        print(f"wrote {out_dir / 'curves.csv'}")
-        return 0
-
-    raise ConfigError(f"unknown experiment {experiment!r}")
+    # curves
+    tables = [ValueTable.load(p) for p in _parse_list(_require(config, "tables"))]
+    names = _parse_list(_require(config, "estimators"))
+    models = []
+    if "neural" in names:
+        model_paths = _parse_list(_require(config, "models"))
+        if len(model_paths) != len(tables):
+            raise ConfigError("models must list one model per table")
+        models = [MlpModel.load(p) for p in model_paths]
+    estimators = _estimators(names, models, len(tables))
+    evals = int(_require(config, "evals"))
+    checkpoints = _parse_list(_require(config, "checkpoints"), int)
+    _curves(tables, estimators, evals, checkpoints, seed, budget, out_dir / "curves.csv")
+    print(f"wrote {out_dir / 'curves.csv'}")
+    return 0
 
 
 def run_pipeline(config: dict[str, str]) -> dict:
@@ -270,9 +276,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
     key or an unknown key raises ConfigError naming the key, and so does a
     value out of range.
     """
-    unknown_keys = [key for key in config if key not in PIPELINE_KEYS]
-    if unknown_keys:
-        raise ConfigError(f"unknown config key: {', '.join(unknown_keys)}")
+    _check_keys(config, PIPELINE_KEYS)
     master = int(_require(config, "master_seed"))
     n = int(_require(config, "n"))
     m = int(_require(config, "m"))
@@ -431,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rollout)
 
     p = sub.add_parser("bench", help="run one benchmark experiment from a config file")
-    p.add_argument("--experiment", choices=("probability", "histogram", "prediction", "curves"), required=True)
+    p.add_argument("--experiment", choices=tuple(BENCH_KEYS), required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_bench)

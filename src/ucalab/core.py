@@ -23,9 +23,45 @@ class FormatError(ValueError):
     """A UCAV, UCAD or UCAM file that is truncated or corrupt."""
 
 
-_TABLE_MAGIC = b"UCAV"
-_TABLE_VERSION = 1
-_TABLE_HEADER = struct.Struct("<4sBIIQ")
+FORMAT_VERSION = 1
+
+
+class BinaryFormat:
+    """The framing every ucalab file shares: a 4-byte magic, a u8 version
+    (FORMAT_VERSION), then the format's own little-endian header fields
+    (`fields`, struct codes), then its payload."""
+
+    def __init__(self, magic: bytes, fields: str) -> None:
+        self.magic = magic
+        self.header = struct.Struct("<4sB" + fields)
+
+    def write(self, path: str | Path, fields, *payload) -> None:
+        """Write the header packed from `fields`, then each payload buffer."""
+        with open(path, "wb") as fh:
+            fh.write(self.header.pack(self.magic, FORMAT_VERSION, *fields))
+            for chunk in payload:
+                fh.write(chunk)
+
+    def read(self, path: str | Path) -> tuple[tuple, memoryview]:
+        """The header fields and a view of the payload (no copy), after the
+        short-file, magic and version checks."""
+        data = Path(path).read_bytes()
+        if len(data) < self.header.size:
+            raise FormatError(f"{path}: truncated {self.magic.decode()} header")
+        magic, version, *fields = self.header.unpack_from(data)
+        if magic != self.magic:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {self.magic!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        return tuple(fields), memoryview(data)[self.header.size :]
+
+
+# n, m, seed
+TABLE_FORMAT = BinaryFormat(b"UCAV", "IIQ")
+# n, m, kappa, record count
+DATASET_FORMAT = BinaryFormat(b"UCAD", "IIIQ")
+# n, m, value mean, value std, target mean, target std
+MODEL_FORMAT = BinaryFormat(b"UCAM", "IIdddd")
 
 
 @dataclass(frozen=True)
@@ -70,33 +106,19 @@ class ValueTable:
         self.values.setflags(write=False)
 
     def save(self, path: str | Path) -> None:
-        """Write the table in the UCAV binary format (little-endian).
-
-        Layout: magic "UCAV", u8 version, u32 n, u32 m, u64 seed, then
-        2^n x m float64 values in mask-major order.
-        """
-        header = _TABLE_HEADER.pack(_TABLE_MAGIC, _TABLE_VERSION, self.n, self.m, self.seed)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(self.values.astype("<f8", copy=False).tobytes())
+        """Write the table in the UCAV format: header n, m, seed, then
+        2^n x m float64 values in mask-major order."""
+        TABLE_FORMAT.write(path, (self.n, self.m, self.seed), np.ascontiguousarray(self.values, dtype="<f8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "ValueTable":
-        data = Path(path).read_bytes()
-        if len(data) < _TABLE_HEADER.size:
-            raise FormatError(f"{path}: truncated value table file")
-        magic, version, n, m, seed = _TABLE_HEADER.unpack_from(data)
-        if magic != _TABLE_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {_TABLE_MAGIC!r}")
-        if version != _TABLE_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        (n, m, seed), payload = TABLE_FORMAT.read(path)
         if not 1 <= n <= MAX_ELEMENTS or m < 1:
             raise FormatError(f"{path}: invalid dimensions n={n}, m={m}")
         expected = (1 << n) * m * 8
-        payload = len(data) - _TABLE_HEADER.size
-        if payload != expected:
-            raise FormatError(f"{path}: expected {expected} value bytes, found {payload}")
-        arr = np.frombuffer(data, dtype="<f8", offset=_TABLE_HEADER.size)
+        if len(payload) != expected:
+            raise FormatError(f"{path}: expected {expected} value bytes, found {len(payload)}")
+        arr = np.frombuffer(payload, dtype="<f8")
         try:
             return cls(n, m, arr.reshape(1 << n, m).copy(), seed=seed)
         except ValueError as exc:

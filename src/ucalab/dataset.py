@@ -11,18 +11,16 @@ before the first draw.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_ELEMENTS, FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable, value_of
+from .core import (
+    DATASET_FORMAT, MAX_ELEMENTS, FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable, value_of,
+)
 from .exact import DEFAULT_NODE_BUDGET, BudgetExceededError, dfs_node_count, exact_value_to_go
 
-_DATASET_MAGIC = b"UCAD"
-_DATASET_VERSION = 1
-_DATASET_HEADER = struct.Struct("<4sBIIIQ")
 _UNASSIGNED_BYTE = 255
 
 
@@ -130,60 +128,57 @@ def _record_dtype(n: int) -> np.dtype:
 
 
 def save_dataset(path: str | Path, pairs: list[LabeledPair], n: int, m: int, kappa: int) -> None:
-    """Write records in the UCAD binary format (little-endian).
-
-    Layout: magic "UCAD", u8 version, u32 n, u32 m, u32 kappa, u64 count,
-    then per record: u32 assigned mask, n label bytes (255 = unassigned),
-    f64 current value, f64 target. m above 255 is refused, since a label
-    of 255 would read back as unassigned.
-    """
+    """Write records in the UCAD format: header n, m, kappa, count, then
+    per record: u32 assigned mask, n label bytes (255 = unassigned), f64
+    current value, f64 target. m above 255 is refused, since a label of 255
+    would read back as unassigned; so is a record without n labels or with
+    a label at or above m."""
     if m > _UNASSIGNED_BYTE:
         raise ValueError(f"m={m} exceeds {_UNASSIGNED_BYTE}, the most alternatives a label byte can hold")
+    try:
+        labels = np.array([pair.assignment.labels for pair in pairs], dtype=np.int16).reshape(len(pairs), n)
+    except ValueError as exc:
+        raise ValueError("record dimension does not match dataset header") from exc
+    if (labels >= m).any():
+        raise ValueError(f"a record has a label at or above m={m}")
     records = np.empty(len(pairs), dtype=_record_dtype(n))
-    for r, pair in enumerate(pairs):
-        if pair.assignment.n != n:
-            raise ValueError("record dimension does not match dataset header")
-        records[r]["mask"] = pair.assignment.assigned_mask
-        records[r]["labels"] = [
-            _UNASSIGNED_BYTE if lab == UNASSIGNED else lab for lab in pair.assignment.labels
-        ]
-        records[r]["current_value"] = pair.current_value
-        records[r]["target"] = pair.target
-    header = _DATASET_HEADER.pack(_DATASET_MAGIC, _DATASET_VERSION, n, m, kappa, len(pairs))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(records.tobytes())
+    records["mask"] = [pair.assignment.assigned_mask for pair in pairs]
+    records["labels"] = np.where(labels == UNASSIGNED, _UNASSIGNED_BYTE, labels)
+    records["current_value"] = [pair.current_value for pair in pairs]
+    records["target"] = [pair.target for pair in pairs]
+    DATASET_FORMAT.write(path, (n, m, kappa, len(pairs)), records)
 
 
 def load_dataset(path: str | Path) -> tuple[list[LabeledPair], int, int, int]:
     """Read a UCAD file; returns (pairs, n, m, kappa).
 
-    The header's n and m and every record's labels are checked before any
-    record is built."""
-    data = Path(path).read_bytes()
-    if len(data) < _DATASET_HEADER.size:
-        raise FormatError(f"{path}: truncated dataset file")
-    magic, version, n, m, kappa, count = _DATASET_HEADER.unpack_from(data)
-    if magic != _DATASET_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {_DATASET_MAGIC!r}")
-    if version != _DATASET_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    The header's n and m, every record's labels and every record's mask
+    are checked on the whole record array before any record is built."""
+    (n, m, kappa, count), payload = DATASET_FORMAT.read(path)
     if not 1 <= n <= MAX_ELEMENTS or not 1 <= m <= _UNASSIGNED_BYTE:
         raise FormatError(f"{path}: invalid dimensions n={n}, m={m}")
     dtype = _record_dtype(n)
     expected = count * dtype.itemsize
-    if len(data) - _DATASET_HEADER.size != expected:
-        raise FormatError(f"{path}: expected {expected} record bytes, found {len(data) - _DATASET_HEADER.size}")
-    records = np.frombuffer(data, dtype=dtype, offset=_DATASET_HEADER.size)
-    bad = np.argwhere((records["labels"] != _UNASSIGNED_BYTE) & (records["labels"] >= m))
+    if len(payload) != expected:
+        raise FormatError(f"{path}: expected {expected} record bytes, found {len(payload)}")
+    records = np.frombuffer(payload, dtype=dtype)
+    assigned = records["labels"] != _UNASSIGNED_BYTE
+    bad = np.argwhere(assigned & (records["labels"] >= m))
     if len(bad):
         r, j = bad[0]
         raise FormatError(f"{path}: record {r}: label {records['labels'][r, j]} at element {j} exceeds m={m}")
-    pairs = []
-    for rec in records:
-        labels = [UNASSIGNED if b == _UNASSIGNED_BYTE else int(b) for b in rec["labels"]]
-        assignment = PartialAssignment.from_labels(labels)
-        if assignment.assigned_mask != int(rec["mask"]):
-            raise FormatError(f"{path}: record mask inconsistent with labels")
-        pairs.append(LabeledPair(assignment, float(rec["current_value"]), float(rec["target"])))
+    masks = assigned.astype(np.uint32) @ (np.uint32(1) << np.arange(n, dtype=np.uint32))
+    bad = np.flatnonzero(masks != records["mask"])
+    if len(bad):
+        raise FormatError(f"{path}: record {bad[0]}: mask inconsistent with labels")
+    labels = records["labels"].astype(np.int16)
+    labels[~assigned] = UNASSIGNED
+    currents = records["current_value"].tolist()
+    targets = records["target"].tolist()
+    # zip over the label columns yields each record's labels as one tuple,
+    # without a transient list per record
+    pairs = [
+        LabeledPair(PartialAssignment(row), current, target)
+        for row, current, target in zip(zip(*labels.T.tolist()), currents, targets)
+    ]
     return pairs, n, m, kappa

@@ -32,12 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FormatError, PartialAssignment, UNASSIGNED, ValueTable, value_of
+from .core import MODEL_FORMAT, FormatError, PartialAssignment, UNASSIGNED, ValueTable, value_of
 
-_MODEL_MAGIC = b"UCAM"
-_MODEL_VERSION = 1
-_MODEL_HEADER = struct.Struct("<4sBII")
-_NORM_STRUCT = struct.Struct("<dddd")
 _LAYER_HEADER = struct.Struct("<II")
 
 HIDDEN_LAYERS = 3
@@ -127,50 +123,46 @@ class MlpModel:
         return self.weights[0].shape[1]
 
     def save(self, path: str | Path) -> None:
-        """Write the UCAM binary format: header, the four norm constants,
+        """Write the UCAM format: header n, m and the four norm constants,
         then per layer u32 rows, u32 cols, row-major f64 weights, f64 biases.
         A model with non-finite parameters (diverged training) is refused."""
         if not np.isfinite(self.params).all():
             raise ValueError("model contains non-finite parameters")
-        with open(path, "wb") as fh:
-            fh.write(_MODEL_HEADER.pack(_MODEL_MAGIC, _MODEL_VERSION, self.n, self.m))
-            fh.write(_NORM_STRUCT.pack(*self.value_norm, *self.target_norm))
-            for W, b in zip(self.weights, self.biases):
-                fh.write(_LAYER_HEADER.pack(W.shape[0], W.shape[1]))
-                fh.write(W.astype("<f8", copy=False).tobytes())
-                fh.write(b.astype("<f8", copy=False).tobytes())
+        layers = []
+        for W, b in zip(self.weights, self.biases):
+            layers += [_LAYER_HEADER.pack(*W.shape), W.astype("<f8", copy=False), b.astype("<f8", copy=False)]
+        MODEL_FORMAT.write(path, (self.n, self.m, *self.value_norm, *self.target_norm), *layers)
 
     @classmethod
     def load(cls, path: str | Path) -> "MlpModel":
-        data = Path(path).read_bytes()
-        if len(data) < _MODEL_HEADER.size + _NORM_STRUCT.size:
-            raise FormatError(f"{path}: truncated model file")
-        magic, version, n, m = _MODEL_HEADER.unpack_from(data)
-        if magic != _MODEL_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {_MODEL_MAGIC!r}")
-        if version != _MODEL_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        vmean, vstd, tmean, tstd = _NORM_STRUCT.unpack_from(data, _MODEL_HEADER.size)
-        offset = _MODEL_HEADER.size + _NORM_STRUCT.size
+        """Read a UCAM file; its first layer must take the m*n + 1 inputs
+        that its header's n and m give."""
+        (n, m, vmean, vstd, tmean, tstd), payload = MODEL_FORMAT.read(path)
+        offset = 0
         weights, biases = [], []
-        while offset < len(data):
-            if offset + _LAYER_HEADER.size > len(data):
+        while offset < len(payload):
+            if offset + _LAYER_HEADER.size > len(payload):
                 raise FormatError(f"{path}: truncated layer header")
-            rows, cols = _LAYER_HEADER.unpack_from(data, offset)
+            rows, cols = _LAYER_HEADER.unpack_from(payload, offset)
             offset += _LAYER_HEADER.size
             need = (rows * cols + rows) * 8
-            if offset + need > len(data):
+            if offset + need > len(payload):
                 raise FormatError(f"{path}: truncated layer payload")
-            W = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
+            W = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
             offset += rows * cols * 8
-            b = np.frombuffer(data, dtype="<f8", count=rows, offset=offset)
+            b = np.frombuffer(payload, dtype="<f8", count=rows, offset=offset)
             offset += rows * 8
             weights.append(W)
             biases.append(b)
         try:
-            return cls(n, m, weights, biases, (vmean, vstd), (tmean, tstd))
+            model = cls(n, m, weights, biases, (vmean, vstd), (tmean, tstd))
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from exc
+        if model.input_dim != m * n + 1:
+            raise FormatError(
+                f"{path}: first layer takes {model.input_dim} inputs, but n={n}, m={m} needs {m * n + 1}"
+            )
+        return model
 
 
 def init_model(n: int, m: int, rng: np.random.Generator) -> MlpModel:

@@ -129,8 +129,8 @@ def write_scatter(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    diagonal: bool = True,
 ) -> None:
+    """(x, y) points on equal axes, with the y = x diagonal dashed."""
     xs = [x for x, _ in points] or [0.0]
     ys = [y for _, y in points] or [0.0]
     lo = min(min(xs), min(ys))
@@ -139,11 +139,10 @@ def write_scatter(
     sx, sy = _scales(lo, hi, lo, hi)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">']
     _axes(parts, sx, sy, lo, hi, lo, hi, title, xlabel, ylabel)
-    if diagonal:
-        parts.append(
-            f'<line x1="{sx(lo):.1f}" y1="{sy(lo):.1f}" x2="{sx(hi):.1f}" y2="{sy(hi):.1f}" '
-            'stroke="#999999" stroke-dasharray="4,4"/>'
-        )
+    parts.append(
+        f'<line x1="{sx(lo):.1f}" y1="{sy(lo):.1f}" x2="{sx(hi):.1f}" y2="{sy(hi):.1f}" '
+        'stroke="#999999" stroke-dasharray="4,4"/>'
+    )
     for x, y in points:
         parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2" fill="#1f77b4" fill-opacity="0.5"/>')
     parts.append("</svg>")

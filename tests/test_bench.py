@@ -34,24 +34,24 @@ def test_probability_all_negative_and_all_positive():
         estimate_positive_probability(pos, 0, rng)
 
 
-def test_probability_batching_is_seamless():
+def test_probability_batching_is_seamless(monkeypatch):
     table = npd_table(5, 2, 1)
-    a = estimate_positive_probability(table, 1000, np.random.default_rng(2), batch_size=64)
     b = estimate_positive_probability(table, 1000, np.random.default_rng(2))
+    monkeypatch.setattr(bench, "MC_BATCH", 64)
+    a = estimate_positive_probability(table, 1000, np.random.default_rng(2))
     assert a == b
 
 
 @pytest.mark.parametrize("sample", [
-    lambda table, rng: estimate_positive_probability(table, 10, rng, batch_size=0),
-    lambda table, rng: value_histogram(table, 10, 4, rng, batch_size=0),
+    lambda table, rng: estimate_positive_probability(table, 0, rng),
+    lambda table, rng: value_histogram(table, 0, 4, rng),
 ], ids=["probability", "histogram"])
-def test_value_sampling_refuses_empty_batches(sample, monkeypatch):
-    # a batch size of 0 used to loop forever drawing empty batches
+def test_value_sampling_refuses_zero_samples_before_drawing(sample, monkeypatch):
     def no_draws(*args):
-        raise AssertionError("drew samples before refusing the batch size")
+        raise AssertionError("drew samples before refusing the sample count")
 
     monkeypatch.setattr(bench, "_sampled_values", no_draws)
-    with pytest.raises(ValueError, match="batch_size"):
+    with pytest.raises(ValueError, match="samples"):
         sample(npd_table(4, 2, 0), np.random.default_rng(0))
 
 
@@ -211,7 +211,7 @@ def test_curves_csv_deterministic_and_marker(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_curves_report(report, p1, tmp_path / "a.svg")
     report2 = benchmark_curves(tables, make_estimators(tables), 25, [5, 25], master_seed=4)
-    write_curves_report(report2, p2)
+    write_curves_report(report2, p2, tmp_path / "b.svg")
     assert p1.read_bytes() == p2.read_bytes()
     text = p1.read_text()
     assert "estimator,checkpoint,mean,ci_low,ci_high" in text
@@ -221,7 +221,7 @@ def test_curves_csv_deterministic_and_marker(tmp_path):
 
     no_opt = benchmark_curves(tables, make_estimators(tables), 5, [5], master_seed=4, node_budget=10)
     p3 = tmp_path / "c.csv"
-    write_curves_report(no_opt, p3)
+    write_curves_report(no_opt, p3, tmp_path / "c.svg")
     assert "# optimum unavailable at this scale" in p3.read_text()
 
 

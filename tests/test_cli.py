@@ -144,6 +144,20 @@ def test_bench_missing_config_key_names_it(tmp_path, capsys):
     assert "table" in capsys.readouterr().err
 
 
+def test_bench_unknown_config_key_names_it(tmp_path, capsys):
+    table_path = tmp_path / "t.ucav"
+    run_cli(["generate", "--dist", "npd", "--n", "4", "--m", "2", "--seed", "9", "--out", str(table_path)])
+    capsys.readouterr()
+    cfg = tmp_path / "bench.cfg"
+    # "bin" for "bins" used to fall back to 100 bins and exit 0
+    cfg.write_text(f"table={table_path}\nsamples=100\nbin=5\n")
+    out_dir = tmp_path / "out"
+    code = run_cli(["bench", "--experiment", "histogram", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert "unknown config key: bin" in capsys.readouterr().err
+    assert not (out_dir / "histogram.csv").exists()
+
+
 def test_read_config_parsing(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# comment\n\nkey = value\nn=10\n")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import reference_encode
 from ucalab.core import (
+    FormatError,
     PartialAssignment,
     ProblemSpec,
     UNASSIGNED,
@@ -12,8 +15,8 @@ from ucalab.core import (
     expand_children,
     value_of,
 )
-from ucalab.dataset import LabeledPair
-from ucalab.neural import encode_input
+from ucalab.dataset import DatasetConfig, LabeledPair, build_dataset, load_dataset, save_dataset
+from ucalab.neural import MlpModel, encode_input, init_model
 from ucalab.valuegen import NpdParams, generate_npd
 
 
@@ -200,6 +203,50 @@ def test_table_file_rejects_corruption(tmp_path):
     truncated.write_bytes(bytes(raw[:-8]))
     with pytest.raises(ValueError, match="bytes"):
         ValueTable.load(truncated)
+
+
+def test_table_file_layout_is_the_documented_one(tmp_path):
+    values = np.arange(12.0).reshape(4, 3) - 5.5
+    path = tmp_path / "t.ucav"
+    ValueTable(2, 3, values, seed=2**40 + 7).save(path)
+    header = struct.pack("<4sBIIQ", b"UCAV", 1, 2, 3, 2**40 + 7)
+    assert path.read_bytes() == header + struct.pack("<12d", *values.ravel())
+
+
+# Each writes a valid file of one format to `path` and returns its loader.
+def _save_table(path):
+    small_table(3, 2).save(path)
+    return ValueTable.load
+
+
+def _save_dataset(path):
+    table = small_table(4, 2, seed=23)
+    pairs = build_dataset(ProblemSpec(4, 2, 23), table, DatasetConfig(kappa=1, pairs_per_level=3, seed=29))
+    save_dataset(path, pairs, 4, 2, 1)
+    return load_dataset
+
+
+def _save_model(path):
+    init_model(2, 2, np.random.default_rng(31)).save(path)
+    return MlpModel.load
+
+
+@pytest.mark.parametrize("save", [_save_table, _save_dataset, _save_model], ids=["UCAV", "UCAD", "UCAM"])
+@pytest.mark.parametrize("damage, message", [
+    (lambda raw: b"QQQQ" + raw[4:], "bad magic"),
+    (lambda raw: raw[:4] + b"\x02" + raw[5:], "unsupported version 2"),
+    (lambda raw: raw[:12], "truncated"),
+    (lambda raw: raw[:-8], "bytes|truncated layer payload"),
+], ids=["magic", "version", "short-header", "payload-size"])
+def test_every_format_refuses_damaged_files_naming_them(tmp_path, save, damage, message):
+    good = tmp_path / "good.bin"
+    load = save(good)
+    load(good)
+    bad = tmp_path / "damaged.bin"
+    bad.write_bytes(damage(good.read_bytes()))
+    with pytest.raises(FormatError, match=message) as info:
+        load(bad)
+    assert str(info.value).startswith(f"{bad}: ")
 
 
 @settings(max_examples=60, deadline=None)

@@ -190,6 +190,10 @@ def test_save_dataset_refuses_labels_that_collide_with_the_sentinel(tmp_path):
     with pytest.raises(ValueError, match="m=256"):
         save_dataset(path, pairs, 2, 256, 1)
     assert not path.exists()
+    # a label at or above m would be written, then refused by the loader
+    with pytest.raises(ValueError, match="m=2"):
+        save_dataset(path, [LabeledPair(PartialAssignment.from_labels([3, UNASSIGNED]), 0.5, 1.5)], 2, 2, 1)
+    assert not path.exists()
 
 
 def write_ucad(path, n, m, records=()):
@@ -207,6 +211,9 @@ def test_load_dataset_refuses_impossible_headers_and_labels(tmp_path):
     # label byte 7 with m=2 used to load and fail later, inside training
     write_ucad(path, 3, 2, [(0b011, [0, 1, 255]), (0b110, [255, 0, 7])])
     with pytest.raises(FormatError, match="record 1: label 7 at element 2 exceeds m=2"):
+        load_dataset(path)
+    write_ucad(path, 3, 2, [(0b011, [0, 1, 255]), (0b111, [0, 1, 255])])
+    with pytest.raises(FormatError, match="record 1: mask inconsistent with labels"):
         load_dataset(path)
     for n, m in ((0, 2), (40, 2), (3, 0), (3, 256)):
         write_ucad(path, n, m)

@@ -1,10 +1,11 @@
 import copy
+import struct
 
 import numpy as np
 import pytest
 
 from ucalab import neural
-from ucalab.core import PartialAssignment, ProblemSpec
+from ucalab.core import FormatError, PartialAssignment, ProblemSpec
 from ucalab.dataset import DatasetConfig, LabeledPair, build_dataset, split_dataset
 from ucalab.neural import (
     ADAM_BETA1,
@@ -383,6 +384,30 @@ def test_model_file_rejects_corruption(tmp_path):
     short.write_bytes(bytes(raw[:-4]))
     with pytest.raises(ValueError, match="truncated"):
         MlpModel.load(short)
+
+
+def test_model_file_layout_is_the_documented_one(tmp_path):
+    # n=1, m=1: one hidden layer of width 2 on the m*n + 1 = 2 inputs
+    W0, b0 = np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([0.25, -0.75])
+    W1, b1 = np.array([[4.0, -1.5]]), np.array([2.0])
+    model = MlpModel(1, 1, [W0, W1], [b0, b1], value_norm=(1.5, 0.5), target_norm=(-2.0, 3.0))
+    path = tmp_path / "m.ucam"
+    model.save(path)
+    expected = struct.pack("<4sBIIdddd", b"UCAM", 1, 1, 1, 1.5, 0.5, -2.0, 3.0)
+    expected += struct.pack("<II4d2d", 2, 2, *W0.ravel(), *b0)
+    expected += struct.pack("<II2d1d", 1, 2, *W1.ravel(), *b1)
+    assert path.read_bytes() == expected
+    assert np.array_equal(MlpModel.load(path).params, model.params)
+
+
+def test_model_load_refuses_header_that_disagrees_with_the_first_layer(tmp_path):
+    path = tmp_path / "m.ucam"
+    init_model(3, 2, np.random.default_rng(33)).save(path)
+    raw = path.read_bytes()
+    # the layers of an n=3, m=2 net (7 inputs) under a header saying n=5, m=2 (11 inputs)
+    path.write_bytes(raw[:5] + struct.pack("<II", 5, 2) + raw[13:])
+    with pytest.raises(FormatError, match="first layer takes 7 inputs, but n=5, m=2 needs 11"):
+        MlpModel.load(path)
 
 
 def test_model_shape_validation():
