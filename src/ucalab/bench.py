@@ -197,9 +197,10 @@ def csv_line(values) -> str:
 
 
 def write_csv(path: str | Path, columns: str, rows, comments=()) -> None:
-    """Write a CSV file: one `# ` line per comment, the column header, one
-    csv_line per row, and a trailing newline."""
+    """Write a CSV file, creating its directory: one `# ` line per comment,
+    the column header, one csv_line per row, and a trailing newline."""
     lines = [f"# {comment}" for comment in comments] + [columns] + [csv_line(row) for row in rows]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -214,7 +215,6 @@ def write_histogram(csv_path: str | Path, svg_path: str | Path, edges: np.ndarra
 def write_prediction_report(report: PredictionErrorReport, out_dir: str | Path) -> list[Path]:
     """Emit prediction_errors.csv/.svg and prediction_scatter.csv/.svg; returns paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     errors_csv = out_dir / "prediction_errors.csv"
     write_csv(errors_csv, "unassigned,mean_error,std_error,n_samples",
               [(row.unassigned, row.mean_error, row.std_error, row.n_samples) for row in report.rows])

@@ -48,24 +48,45 @@ DISTRIBUTIONS = ("npd", "trap")
 # Distribution parameters shared by `generate`'s flags and the pipeline's
 # config keys; a tau of None means n/2.
 DIST_DEFAULTS = {"mu": 1.0, "sigma": 0.1, "delta": 0.1, "tau": None, "eps": 0.1}
-# Every key a pipeline config may set: the required keys, then the optional ones.
-PIPELINE_KEYS = (
-    "master_seed", "n", "m", "kappa", "pairs_per_level", "epochs", "learning_rate", "batch_size",
-    "instances", "evals", "checkpoints", "out_dir",
-    "split_fraction", "node_budget", "distributions", "estimators", *DIST_DEFAULTS,
-)
-# Every key each bench experiment's config may set: the required keys, then the optional ones.
-BENCH_KEYS = {
-    "probability": ("table", "samples", "seed"),
-    "histogram": ("table", "samples", "bins", "seed"),
-    "prediction": ("table", "model", "levels", "samples_per_level", "seed", "node_budget"),
-    "curves": ("tables", "estimators", "evals", "checkpoints", "models", "seed", "node_budget"),
+SPLIT_FRACTION = 0.1  # default share of each dataset held out for testing
+
+
+def _list_parser(kind):
+    """A parser of comma-separated values, skipping blank entries and
+    refusing an empty list."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(kind(part.strip()) for part in text.split(",") if part.strip())
+        if not values:
+            raise ValueError("must list at least one value")
+        return values
+
+    parse.__name__ = f"{kind.__name__}_list"  # argparse names the type in its errors
+    return parse
+
+
+STR_LIST, INT_LIST, FLOAT_LIST = (_list_parser(kind) for kind in (str, int, float))
+# The default of a key every config must set (None is tau's default).
+REQUIRED = object()
+# Each config's schema maps a key to (parser, default), required keys first.
+PIPELINE_KEYS = {
+    "master_seed": (int, REQUIRED), "n": (int, REQUIRED), "m": (int, REQUIRED), "kappa": (int, REQUIRED),
+    "pairs_per_level": (int, REQUIRED), "epochs": (int, REQUIRED), "learning_rate": (float, REQUIRED),
+    "batch_size": (int, REQUIRED), "instances": (int, REQUIRED), "evals": (int, REQUIRED),
+    "checkpoints": (INT_LIST, REQUIRED), "out_dir": (Path, REQUIRED),
+    "split_fraction": (float, SPLIT_FRACTION), "node_budget": (int, DEFAULT_NODE_BUDGET),
+    "distributions": (STR_LIST, DISTRIBUTIONS), "estimators": (STR_LIST, ESTIMATOR_KINDS),
+    **{key: (float, default) for key, default in DIST_DEFAULTS.items()},
 }
-
-
-def _parse_list(text: str, kind=str) -> list:
-    """Comma-separated values; blank entries are skipped."""
-    return [kind(part.strip()) for part in text.split(",") if part.strip()]
+BENCH_KEYS = {
+    "probability": {"table": (str, REQUIRED), "samples": (int, REQUIRED), "seed": (int, 0)},
+    "histogram": {"table": (str, REQUIRED), "samples": (int, REQUIRED), "bins": (int, 100), "seed": (int, 0)},
+    "prediction": {"table": (str, REQUIRED), "model": (str, REQUIRED), "levels": (INT_LIST, REQUIRED),
+                   "samples_per_level": (int, REQUIRED), "seed": (int, 0), "node_budget": (int, DEFAULT_NODE_BUDGET)},
+    "curves": {"tables": (STR_LIST, REQUIRED), "estimators": (STR_LIST, REQUIRED), "evals": (int, REQUIRED),
+               "checkpoints": (INT_LIST, REQUIRED), "models": (STR_LIST, None), "seed": (int, 0),
+               "node_budget": (int, DEFAULT_NODE_BUDGET)},
+}
 
 
 def _generate_table(dist: str, spec: ProblemSpec, params) -> ValueTable:
@@ -193,77 +214,64 @@ def read_config(path: str | Path) -> dict[str, str]:
     return config
 
 
-def _check_keys(config: dict[str, str], accepted) -> None:
-    unknown = [key for key in config if key not in accepted]
+def _parse_config(config: dict[str, str], schema: dict) -> argparse.Namespace:
+    """Every key of `schema`, parsed from `config` or set to its default.
+
+    Refuses, by name, a key the schema lacks, a missing required key and
+    a value its parser cannot convert."""
+    unknown = [key for key in config if key not in schema]
     if unknown:
         raise ConfigError(f"unknown config key: {', '.join(unknown)}")
-
-
-def _require(config: dict[str, str], key: str) -> str:
-    if key not in config:
-        raise ConfigError(f"missing config key: {key}")
-    return config[key]
-
-
-def _config_dist_params(config: dict[str, str]) -> dict:
-    return {key: float(config[key]) if key in config else default for key, default in DIST_DEFAULTS.items()}
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    missing = [key for key, (_, default) in schema.items() if default is REQUIRED and key not in config]
+    if missing:
+        raise ConfigError(f"missing config key: {', '.join(missing)}")
+    values = {key: default for key, (_, default) in schema.items()}
+    for key, text in config.items():
+        try:
+            values[key] = schema[key][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: {exc}") from exc
+    return argparse.Namespace(**values)
 
 
 def cmd_bench(args) -> int:
-    config = read_config(args.config)
     experiment = args.experiment
-    _check_keys(config, BENCH_KEYS[experiment])
+    c = _parse_config(read_config(args.config), BENCH_KEYS[experiment])
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(config.get("seed", "0"))
-    budget = int(config.get("node_budget", str(DEFAULT_NODE_BUDGET)))
 
     if experiment == "probability":
-        table = ValueTable.load(_require(config, "table"))
-        samples = int(_require(config, "samples"))
-        prob, positives = estimate_positive_probability(table, samples, np.random.default_rng(seed))
-        write_csv(out_dir / "probability.csv", "samples,positives,probability", [(samples, positives, prob)])
-        print(f"P(V>0) = {prob:.6g} ({positives}/{samples})")
+        table = ValueTable.load(c.table)
+        prob, positives = estimate_positive_probability(table, c.samples, np.random.default_rng(c.seed))
+        write_csv(out_dir / "probability.csv", "samples,positives,probability", [(c.samples, positives, prob)])
+        print(f"P(V>0) = {prob:.6g} ({positives}/{c.samples})")
         return 0
 
     if experiment == "histogram":
-        table = ValueTable.load(_require(config, "table"))
-        samples = int(_require(config, "samples"))
-        bins = int(config.get("bins", "100"))
-        edges, counts = value_histogram(table, samples, bins, np.random.default_rng(seed))
+        table = ValueTable.load(c.table)
+        edges, counts = value_histogram(table, c.samples, c.bins, np.random.default_rng(c.seed))
         write_histogram(out_dir / "histogram.csv", out_dir / "histogram.svg", edges, counts)
         print(f"wrote {out_dir / 'histogram.csv'}")
         return 0
 
     if experiment == "prediction":
-        table = ValueTable.load(_require(config, "table"))
-        model = MlpModel.load(_require(config, "model"))
-        levels = _parse_list(_require(config, "levels"), int)
-        samples = int(_require(config, "samples_per_level"))
+        table = ValueTable.load(c.table)
+        model = MlpModel.load(c.model)
         report = prediction_error_report(
-            model, table, levels, samples, np.random.default_rng(seed), node_budget=budget
+            model, table, c.levels, c.samples_per_level, np.random.default_rng(c.seed), node_budget=c.node_budget
         )
         paths = write_prediction_report(report, out_dir)
         print(f"wrote {', '.join(str(p) for p in paths)}")
         return 0
 
     # curves
-    tables = [ValueTable.load(p) for p in _parse_list(_require(config, "tables"))]
-    names = _parse_list(_require(config, "estimators"))
-    models = []
-    if "neural" in names:
-        model_paths = _parse_list(_require(config, "models"))
-        if len(model_paths) != len(tables):
-            raise ConfigError("models must list one model per table")
-        models = [MlpModel.load(p) for p in model_paths]
-    estimators = _estimators(names, models, len(tables))
-    evals = int(_require(config, "evals"))
-    checkpoints = _parse_list(_require(config, "checkpoints"), int)
-    _curves(tables, estimators, evals, checkpoints, seed, budget, out_dir / "curves.csv")
+    if ("neural" in c.estimators) != (c.models is not None):
+        raise ConfigError("models is required for the neural estimator and refused for the others")
+    if c.models is not None and len(c.models) != len(c.tables):
+        raise ConfigError("models must list one model per table")
+    tables = [ValueTable.load(p) for p in c.tables]
+    models = [MlpModel.load(p) for p in c.models or ()]
+    estimators = _estimators(c.estimators, models, len(tables))
+    _curves(tables, estimators, c.evals, c.checkpoints, c.seed, c.node_budget, out_dir / "curves.csv")
     print(f"wrote {out_dir / 'curves.csv'}")
     return 0
 
@@ -273,58 +281,41 @@ def run_pipeline(config: dict[str, str]) -> dict:
 
     Returns the manifest; artifacts and manifest.json land in out_dir.
     The whole config is checked before the first stage: a missing required
-    key or an unknown key raises ConfigError naming the key, and so does a
-    value out of range.
+    key, an unknown key or a value that does not parse raises ConfigError
+    naming the key, and so does a value out of range.
     """
-    _check_keys(config, PIPELINE_KEYS)
-    master = int(_require(config, "master_seed"))
-    n = int(_require(config, "n"))
-    m = int(_require(config, "m"))
-    kappa = int(_require(config, "kappa"))
-    pairs_per_level = int(_require(config, "pairs_per_level"))
-    epochs = int(_require(config, "epochs"))
-    learning_rate = float(_require(config, "learning_rate"))
-    batch_size = int(_require(config, "batch_size"))
-    instances = int(_require(config, "instances"))
-    evals = int(_require(config, "evals"))
-    checkpoints = _parse_list(_require(config, "checkpoints"), int)
-    out_dir = Path(_require(config, "out_dir"))
-    split_fraction = float(config.get("split_fraction", "0.1"))
-    budget = int(config.get("node_budget", str(DEFAULT_NODE_BUDGET)))
-    distributions = _parse_list(config.get("distributions", "npd,trap"))
-    estimator_names = _parse_list(config.get("estimators", "current,random,neural"))
-    dist_params = _config_dist_params(config)
-    if not 0.0 < split_fraction < 1.0:
-        raise ConfigError(f"split_fraction must be in (0, 1), got {split_fraction}")
-    unknown_names = [name for name in distributions if name not in DISTRIBUTIONS]
-    unknown_names += [name for name in estimator_names if name not in ESTIMATOR_KINDS]
+    c = _parse_config(config, PIPELINE_KEYS)
+    if not 0.0 < c.split_fraction < 1.0:
+        raise ConfigError(f"split_fraction must be in (0, 1), got {c.split_fraction}")
+    unknown_names = [name for name in c.distributions if name not in DISTRIBUTIONS]
+    unknown_names += [name for name in c.estimators if name not in ESTIMATOR_KINDS]
     if unknown_names:
         raise ConfigError(f"unknown distribution or estimator: {', '.join(unknown_names)}")
     # Constructing the stage settings refuses out-of-range values before any stage runs.
-    dataset_cfg = DatasetConfig(kappa, pairs_per_level)
-    TrainConfig(learning_rate, batch_size, epochs)
-    checked_checkpoints(evals, checkpoints)
+    dataset_cfg = DatasetConfig(c.kappa, c.pairs_per_level)
+    TrainConfig(c.learning_rate, c.batch_size, c.epochs)
+    checked_checkpoints(c.evals, c.checkpoints)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = c.out_dir
     for sub in ("tables", "datasets", "models", "curves"):
-        (out_dir / sub).mkdir(exist_ok=True)
+        (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
     manifest: dict = {
         "config": dict(config), "seeds": {}, "files": {}, "timings_s": {}, "train": {}, "optimum": {}
     }
 
     def stage_seed(label: str) -> int:
-        manifest["seeds"][label] = seed = derive_seed(master, label)
+        manifest["seeds"][label] = seed = derive_seed(c.master_seed, label)
         return seed
 
     def note_file(path: Path) -> None:
-        manifest["files"][str(path.relative_to(out_dir))] = _sha256(path)
+        manifest["files"][str(path.relative_to(out_dir))] = hashlib.sha256(path.read_bytes()).hexdigest()
 
-    for dist in distributions:
+    for dist in c.distributions:
         t0 = time.perf_counter()
         tables: list[ValueTable] = []
-        for i in range(instances):
-            table = _generate_table(dist, ProblemSpec(n, m, stage_seed(f"table/{dist}/{i}")), dist_params)
+        for i in range(c.instances):
+            table = _generate_table(dist, ProblemSpec(c.n, c.m, stage_seed(f"table/{dist}/{i}")), vars(c))
             path = out_dir / "tables" / f"{dist}_{i}.ucav"
             table.save(path)
             note_file(path)
@@ -332,13 +323,13 @@ def run_pipeline(config: dict[str, str]) -> dict:
         manifest["timings_s"][f"generate/{dist}"] = round(time.perf_counter() - t0, 3)
 
         models: list[MlpModel] = []
-        if "neural" in estimator_names:
+        if "neural" in c.estimators:
             label_s = train_s = 0.0
             for i, table in enumerate(tables):
                 t0 = time.perf_counter()
                 cfg = replace(dataset_cfg, seed=stage_seed(f"dataset/{dist}/{i}"))
                 ds_path = out_dir / "datasets" / f"{dist}_{i}.ucad"
-                pairs = _label(table, cfg, budget, ds_path)
+                pairs = _label(table, cfg, c.node_budget, ds_path)
                 note_file(ds_path)
                 label_s += time.perf_counter() - t0
 
@@ -346,8 +337,9 @@ def run_pipeline(config: dict[str, str]) -> dict:
                 model_path = out_dir / "models" / f"{dist}_{i}.ucam"
                 trace_path = out_dir / "models" / f"{dist}_{i}_trace.csv"
                 _, model, trace, steps = _fit(
-                    pairs, n, m, split_fraction, derive_seed(master, f"split/{dist}/{i}"),
-                    [learning_rate], [batch_size], epochs, stage_seed(f"train/{dist}/{i}"), model_path, trace_path,
+                    pairs, c.n, c.m, c.split_fraction, derive_seed(c.master_seed, f"split/{dist}/{i}"),
+                    [c.learning_rate], [c.batch_size], c.epochs, stage_seed(f"train/{dist}/{i}"), model_path,
+                    trace_path,
                 )
                 manifest["train"][f"{dist}/{i}"] = {
                     "adam_steps": steps,
@@ -362,10 +354,10 @@ def run_pipeline(config: dict[str, str]) -> dict:
             manifest["timings_s"][f"train/{dist}"] = round(train_s, 3)
 
         t0 = time.perf_counter()
-        estimators = _estimators(estimator_names, models, instances)
+        estimators = _estimators(c.estimators, models, c.instances)
         csv_path = out_dir / "curves" / f"curves_{dist}.csv"
         seed = stage_seed(f"bench/{dist}")
-        report = _curves(tables, estimators, evals, checkpoints, seed, budget, csv_path, dist)
+        report = _curves(tables, estimators, c.evals, c.checkpoints, seed, c.node_budget, csv_path, dist)
         manifest["optimum"][dist] = report.optimum_mean
         note_file(csv_path)
         note_file(csv_path.with_suffix(".svg"))
@@ -417,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the value-to-go network")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lr-grid", type=lambda text: _parse_list(text, float), default=[1e-4, 3e-4, 1e-3, 3e-3])
-    p.add_argument("--batch-grid", type=lambda text: _parse_list(text, int), default=[32, 64, 128])
+    p.add_argument("--lr-grid", type=FLOAT_LIST, default=[1e-4, 3e-4, 1e-3, 3e-3])
+    p.add_argument("--batch-grid", type=INT_LIST, default=[32, 64, 128])
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--split", type=float, default=0.1)
+    p.add_argument("--split", type=float, default=SPLIT_FRACTION)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None, help="trace CSV path (default training_trace.csv next to model)")
     p.set_defaults(func=cmd_train)
@@ -430,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=ESTIMATOR_KINDS, required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--evals", type=int, required=True)
-    p.add_argument("--checkpoints", type=lambda text: _parse_list(text, int), default=None)
+    p.add_argument("--checkpoints", type=INT_LIST, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_rollout)
 

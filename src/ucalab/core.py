@@ -9,6 +9,7 @@ table representable (84 MB at n=20, m=10).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,18 +43,24 @@ class BinaryFormat:
             for chunk in payload:
                 fh.write(chunk)
 
-    def read(self, path: str | Path) -> tuple[tuple, memoryview]:
-        """The header fields and a view of the payload (no copy), after the
-        short-file, magic and version checks."""
-        data = Path(path).read_bytes()
-        if len(data) < self.header.size:
-            raise FormatError(f"{path}: truncated {self.magic.decode()} header")
-        magic, version, *fields = self.header.unpack_from(data)
-        if magic != self.magic:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {self.magic!r}")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        return tuple(fields), memoryview(data)[self.header.size :]
+    def read(self, path: str | Path) -> tuple[tuple, np.ndarray]:
+        """The header fields and the payload as one uint8 array, after the
+        short-file, magic and version checks. The payload is read straight
+        into that array, so the file is held once."""
+        with open(path, "rb") as fh:
+            head = fh.read(self.header.size)
+            if len(head) < self.header.size:
+                raise FormatError(f"{path}: truncated {self.magic.decode()} header")
+            magic, version, *fields = self.header.unpack(head)
+            if magic != self.magic:
+                raise FormatError(f"{path}: bad magic {magic!r}, expected {self.magic!r}")
+            if version != FORMAT_VERSION:
+                raise FormatError(f"{path}: unsupported version {version}")
+            payload = np.empty(os.fstat(fh.fileno()).st_size - self.header.size, dtype=np.uint8)
+            got = fh.readinto(payload)
+        if got != len(payload):
+            raise FormatError(f"{path}: read {got} of {len(payload)} payload bytes")
+        return tuple(fields), payload
 
 
 # n, m, seed
@@ -118,9 +125,8 @@ class ValueTable:
         expected = (1 << n) * m * 8
         if len(payload) != expected:
             raise FormatError(f"{path}: expected {expected} value bytes, found {len(payload)}")
-        arr = np.frombuffer(payload, dtype="<f8")
         try:
-            return cls(n, m, arr.reshape(1 << n, m).copy(), seed=seed)
+            return cls(n, m, payload.view("<f8").reshape(1 << n, m), seed=seed)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from exc
 

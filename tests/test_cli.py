@@ -142,6 +142,7 @@ def test_bench_missing_config_key_names_it(tmp_path, capsys):
                     "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert "table" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_unknown_config_key_names_it(tmp_path, capsys):
@@ -156,6 +157,34 @@ def test_bench_unknown_config_key_names_it(tmp_path, capsys):
     assert code == 2
     assert "unknown config key: bin" in capsys.readouterr().err
     assert not (out_dir / "histogram.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, config, message",
+    [
+        # `models` without the neural estimator used to be ignored, with exit 0
+        ("curves", "tables={table}\nestimators=current\nevals=5\ncheckpoints=5\nmodels={dir}/missing.ucam\n",
+         "models is required for the neural estimator and refused for the others"),
+        ("curves", "tables={table},{dir}/missing.ucav\nestimators=neural\nevals=5\ncheckpoints=5\n"
+         "models={dir}/m.ucam\n", "models must list one model per table"),
+        ("curves", "tables=\nestimators=current\nevals=5\ncheckpoints=5\n",
+         "config key tables: must list at least one value"),
+        ("prediction", "table={table}\nmodel={dir}/missing.ucam\nlevels=\nsamples_per_level=5\n",
+         "config key levels: must list at least one value"),
+        ("histogram", "table={table}\nsamples=100\nbins=many\n", "config key bins: invalid literal for int()"),
+    ],
+    ids=["models-without-neural", "model-count-before-loading", "empty-tables", "empty-levels", "unparsable-value"],
+)
+def test_bench_refuses_bad_config_by_name_before_loading_or_writing(tmp_path, capsys, experiment, config, message):
+    table_path = tmp_path / "t.ucav"
+    run_cli(["generate", "--dist", "npd", "--n", "4", "--m", "2", "--seed", "9", "--out", str(table_path)])
+    capsys.readouterr()
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(config.format(table=table_path, dir=tmp_path))
+    out_dir = tmp_path / "out"
+    assert run_cli(["bench", "--experiment", experiment, "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_read_config_parsing(tmp_path):
@@ -408,8 +437,14 @@ def test_train_on_dataset_with_out_of_range_label_is_runtime_error(tmp_path, cap
         ("split_fraction=1.5\n", "split_fraction must be in (0, 1), got 1.5"),
         ("estimators=current,greedy\n", "unknown distribution or estimator: greedy"),
         ("checkpoints=10,40\n", "checkpoints must lie in 1..n_evals"),
+        # an empty list used to pass the checks and fail after three stages
+        ("checkpoints=\n", "config key checkpoints: must list at least one value"),
+        ("estimators=\n", "config key estimators: must list at least one value"),
+        ("distributions= , \n", "config key distributions: must list at least one value"),
+        ("n=abc\n", "config key n: invalid literal for int() with base 10: 'abc'"),
     ],
-    ids=["misspelt-key", "split-fraction", "unknown-estimator", "checkpoint-beyond-evals"],
+    ids=["misspelt-key", "split-fraction", "unknown-estimator", "checkpoint-beyond-evals", "empty-checkpoints",
+         "empty-estimators", "empty-distributions", "unparsable-value"],
 )
 def test_pipeline_refuses_bad_config_before_the_first_stage(tmp_path, capsys, extra, message):
     out_dir = tmp_path / "run"

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,20 @@ def test_table_file_round_trip(tmp_path):
     path2 = tmp_path / "t2.ucav"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_table_load_holds_the_values_once(tmp_path):
+    # the payload is read straight into the table's array: no bytes copy of
+    # the file sits beside it (loading used to peak at twice the table)
+    path = tmp_path / "t.ucav"
+    small_table(14, 8).save(path)
+    tracemalloc.start()
+    try:
+        loaded = ValueTable.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.nbytes <= peak < 1.5 * loaded.values.nbytes
 
 
 def test_table_file_rejects_corruption(tmp_path):

@@ -1,6 +1,7 @@
 """The README's library layout table and `ucalab.__all__` name only what
 exists, its pipeline and bench config sections list exactly the accepted
-keys, and its file formats section gives each format's header struct."""
+keys with the defaults of the config schemas, and its file formats section
+gives each format's header struct."""
 
 import importlib
 import re
@@ -41,6 +42,14 @@ def test_every_exported_name_imports():
     assert set(ucalab.__all__) <= set(namespace)
 
 
+def required_and_optional(schema):
+    """The sets of a config schema's required and optional keys."""
+    from ucalab.cli import REQUIRED
+
+    required = {key for key, (_, default) in schema.items() if default is REQUIRED}
+    return required, set(schema) - required
+
+
 def test_readme_pipeline_keys_are_the_accepted_keys():
     from ucalab.cli import PIPELINE_KEYS
 
@@ -48,8 +57,7 @@ def test_readme_pipeline_keys_are_the_accepted_keys():
     required = re.findall(r"^(\w+)=", text, flags=re.MULTILINE)
     optional_paragraph = text.split("Optional:", 1)[1].split("\n\n", 1)[0]
     optional = re.findall(r"`(\w+)`", optional_paragraph)
-    assert required == list(PIPELINE_KEYS[: len(required)])
-    assert set(required) | set(optional) == set(PIPELINE_KEYS)
+    assert (set(required), set(optional)) == required_and_optional(PIPELINE_KEYS)
 
 
 def test_readme_bench_keys_are_the_accepted_keys():
@@ -59,9 +67,21 @@ def test_readme_bench_keys_are_the_accepted_keys():
     for line in section("### Bench config").splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if len(cells) == 3 and cells[0].startswith("`"):
-            required, optional = (re.findall(r"`(\w+)`", cell) for cell in cells[1:])
-            documented[cells[0].strip("`")] = (*required, *optional)
-    assert documented == BENCH_KEYS
+            documented[cells[0].strip("`")] = tuple(set(re.findall(r"`(\w+)`", cell)) for cell in cells[1:])
+    assert documented == {experiment: required_and_optional(schema) for experiment, schema in BENCH_KEYS.items()}
+
+
+def test_readme_defaults_are_the_schema_defaults():
+    from ucalab.cli import BENCH_KEYS, PIPELINE_KEYS, REQUIRED
+
+    for title, schemas in (("### Pipeline config", [PIPELINE_KEYS]), ("### Bench config", BENCH_KEYS.values())):
+        # each "`key` (default `value`" in the section, with a power such as 10^8 written out
+        found = re.findall(r"`(\w+)` \(default `([^`]+)`", " ".join(section(title).split()))
+        documented = {key: re.sub(r"(\d+)\^(\d+)", lambda p: str(int(p[1]) ** int(p[2])), text) for key, text in found}
+        for schema in schemas:
+            defaults = {key: default for key, (_, default) in schema.items() if default not in (REQUIRED, None)}
+            parsed = {key: schema[key][0](text) for key, text in documented.items() if key in schema}
+            assert parsed == defaults, title
 
 
 def test_readme_format_headers_match_the_header_structs():
