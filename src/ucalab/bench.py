@@ -16,9 +16,8 @@ import numpy as np
 from .core import ValueTable
 from .dataset import label_levels
 from .exact import BudgetExceededError, DEFAULT_NODE_BUDGET, solve_exact
-from .neural import MlpModel, predict_value_to_go
 from .search import Estimator, best_of_n
-from .seeding import derived_rng
+from .seeding import derive_seed
 from .svg import Curve, padded_range, write_line_chart, write_scatter
 
 _CI_FACTOR = 1.96  # normal-approximation 95% interval over instance means
@@ -100,21 +99,17 @@ def prediction_error_report(
 ) -> PredictionErrorReport:
     """Exact-minus-predicted statistics grouped by unassigned count.
 
-    `predictor` is either a trained MlpModel or any callable mapping a
-    partial assignment to a predicted value-to-go. Records are sampled and
-    labeled by `dataset.label_levels`, which checks every level's exact
-    labeling cost against the node budget before sampling.
+    `predictor` maps a partial assignment to a predicted value-to-go (for
+    a trained network, `neural.predict_value_to_go` bound to its model and
+    table). Records are sampled and labeled by `dataset.label_levels`, which
+    checks every level's exact labeling cost against the node budget before
+    sampling.
     """
     if samples_per_level < 1:
         raise ValueError("samples_per_level must be at least 1")
-    if isinstance(predictor, MlpModel):
-        model = predictor
-        predict = lambda s: predict_value_to_go(model, s, table)  # noqa: E731
-    else:
-        predict = predictor
     levels = [int(k) for k in levels]
     pairs = label_levels(table, levels, samples_per_level, rng, node_budget)
-    scatter = [(pair.target, float(predict(pair.assignment))) for pair in pairs]
+    scatter = [(pair.target, float(predictor(pair.assignment))) for pair in pairs]
     rows = []
     for i, k in enumerate(levels):
         level = scatter[i * samples_per_level : (i + 1) * samples_per_level]
@@ -168,7 +163,7 @@ def benchmark_curves(
     for label, insts in estimators.items():
         curves = []
         for ti, (table, estimator) in enumerate(zip(tables, insts)):
-            rng = derived_rng(master_seed, f"rollout/{label}/{ti}")
+            rng = np.random.default_rng(derive_seed(master_seed, f"rollout/{label}/{ti}"))
             result = best_of_n(table, estimator, n_evals, checkpoints, rng)
             curves.append([v for _, v in result.checkpoints])
         matrix = np.array(curves)

@@ -32,9 +32,9 @@ from .bench import (
     write_prediction_report,
 )
 from .core import FormatError, ProblemSpec, ValueTable
-from .dataset import DatasetConfig, build_dataset, load_dataset, save_dataset, split_dataset
+from .dataset import DatasetConfig, build_dataset, check_levels, load_dataset, save_dataset, split_dataset
 from .exact import BudgetExceededError, DEFAULT_NODE_BUDGET, solve_exact
-from .neural import MlpModel, TrainConfig, TrainingDivergedError, grid_search, train
+from .neural import MlpModel, TrainConfig, TrainingDivergedError, grid_search, predict_value_to_go, train
 from .search import ESTIMATOR_KINDS, Estimator, best_of_n, checked_checkpoints
 from .seeding import derive_seed
 from .valuegen import NpdParams, TrapParams, generate_npd, generate_trap
@@ -51,14 +51,17 @@ DIST_DEFAULTS = {"mu": 1.0, "sigma": 0.1, "delta": 0.1, "tau": None, "eps": 0.1}
 SPLIT_FRACTION = 0.1  # default share of each dataset held out for testing
 
 
-def _list_parser(kind):
+def _list_parser(kind, names=None):
     """A parser of comma-separated values, skipping blank entries and
-    refusing an empty list."""
+    refusing an empty list and, when `names` is given, any value outside it."""
 
     def parse(text: str) -> tuple:
         values = tuple(kind(part.strip()) for part in text.split(",") if part.strip())
         if not values:
             raise ValueError("must list at least one value")
+        unknown = [value for value in values if names is not None and value not in names]
+        if unknown:
+            raise ValueError(f"unknown distribution or estimator: {', '.join(unknown)}")
         return values
 
     parse.__name__ = f"{kind.__name__}_list"  # argparse names the type in its errors
@@ -66,6 +69,7 @@ def _list_parser(kind):
 
 
 STR_LIST, INT_LIST, FLOAT_LIST = (_list_parser(kind) for kind in (str, int, float))
+DIST_LIST, ESTIMATOR_LIST = _list_parser(str, DISTRIBUTIONS), _list_parser(str, ESTIMATOR_KINDS)
 # The default of a key every config must set (None is tau's default).
 REQUIRED = object()
 # Each config's schema maps a key to (parser, default), required keys first.
@@ -75,7 +79,7 @@ PIPELINE_KEYS = {
     "batch_size": (int, REQUIRED), "instances": (int, REQUIRED), "evals": (int, REQUIRED),
     "checkpoints": (INT_LIST, REQUIRED), "out_dir": (Path, REQUIRED),
     "split_fraction": (float, SPLIT_FRACTION), "node_budget": (int, DEFAULT_NODE_BUDGET),
-    "distributions": (STR_LIST, DISTRIBUTIONS), "estimators": (STR_LIST, ESTIMATOR_KINDS),
+    "distributions": (DIST_LIST, DISTRIBUTIONS), "estimators": (ESTIMATOR_LIST, ESTIMATOR_KINDS),
     **{key: (float, default) for key, default in DIST_DEFAULTS.items()},
 }
 BENCH_KEYS = {
@@ -83,22 +87,20 @@ BENCH_KEYS = {
     "histogram": {"table": (str, REQUIRED), "samples": (int, REQUIRED), "bins": (int, 100), "seed": (int, 0)},
     "prediction": {"table": (str, REQUIRED), "model": (str, REQUIRED), "levels": (INT_LIST, REQUIRED),
                    "samples_per_level": (int, REQUIRED), "seed": (int, 0), "node_budget": (int, DEFAULT_NODE_BUDGET)},
-    "curves": {"tables": (STR_LIST, REQUIRED), "estimators": (STR_LIST, REQUIRED), "evals": (int, REQUIRED),
+    "curves": {"tables": (STR_LIST, REQUIRED), "estimators": (ESTIMATOR_LIST, REQUIRED), "evals": (int, REQUIRED),
                "checkpoints": (INT_LIST, REQUIRED), "models": (STR_LIST, None), "seed": (int, 0),
                "node_budget": (int, DEFAULT_NODE_BUDGET)},
 }
 
 
-def _generate_table(dist: str, spec: ProblemSpec, params) -> ValueTable:
+def _generator(dist: str, n: int, params) -> tuple:
+    """Distribution `dist`'s generator, looked up when called rather than
+    bound at import, and its parameters built from the DIST_DEFAULTS keys."""
     if dist == "npd":
-        return generate_npd(spec, NpdParams(mu=params["mu"], sigma=params["sigma"]))
-    if dist == "trap":
-        tau = params["tau"]
-        if tau is None:
-            tau = spec.n / 2
-        trap = TrapParams(sigma=params["sigma"], delta=params["delta"], tau_threshold=tau, epsilon=params["eps"])
-        return generate_trap(spec, trap)
-    raise ConfigError(f"unknown distribution {dist!r}")
+        return generate_npd, NpdParams(mu=params["mu"], sigma=params["sigma"])
+    tau = n / 2 if params["tau"] is None else params["tau"]
+    trap = TrapParams(sigma=params["sigma"], delta=params["delta"], tau_threshold=tau, epsilon=params["eps"])
+    return generate_trap, trap
 
 
 def _label(table: ValueTable, cfg: DatasetConfig, budget: int, path) -> list:
@@ -148,8 +150,8 @@ def _curves(tables, estimators, evals, checkpoints, seed, budget, csv_path: Path
 
 
 def cmd_generate(args) -> int:
-    table = _generate_table(args.dist, ProblemSpec(args.n, args.m, args.seed), vars(args))
-    table.save(args.out)
+    generate, params = _generator(args.dist, args.n, vars(args))
+    generate(ProblemSpec(args.n, args.m, args.seed), params).save(args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -257,7 +259,8 @@ def cmd_bench(args) -> int:
         table = ValueTable.load(c.table)
         model = MlpModel.load(c.model)
         report = prediction_error_report(
-            model, table, c.levels, c.samples_per_level, np.random.default_rng(c.seed), node_budget=c.node_budget
+            lambda assignment: predict_value_to_go(model, assignment, table),
+            table, c.levels, c.samples_per_level, np.random.default_rng(c.seed), node_budget=c.node_budget,
         )
         paths = write_prediction_report(report, out_dir)
         print(f"wrote {', '.join(str(p) for p in paths)}")
@@ -268,6 +271,7 @@ def cmd_bench(args) -> int:
         raise ConfigError("models is required for the neural estimator and refused for the others")
     if c.models is not None and len(c.models) != len(c.tables):
         raise ConfigError("models must list one model per table")
+    checked_checkpoints(c.evals, c.checkpoints)
     tables = [ValueTable.load(p) for p in c.tables]
     models = [MlpModel.load(p) for p in c.models or ()]
     estimators = _estimators(c.estimators, models, len(tables))
@@ -280,21 +284,23 @@ def run_pipeline(config: dict[str, str]) -> dict:
     """generate -> label -> train -> benchmark curves, with derived seeds.
 
     Returns the manifest; artifacts and manifest.json land in out_dir.
-    The whole config is checked before the first stage: a missing required
-    key, an unknown key or a value that does not parse raises ConfigError
-    naming the key, and so does a value out of range.
+    The whole config is checked before out_dir is created: a bad key or value
+    raises a ValueError naming it, and labeling over the node budget raises
+    BudgetExceededError.
     """
     c = _parse_config(config, PIPELINE_KEYS)
     if not 0.0 < c.split_fraction < 1.0:
         raise ConfigError(f"split_fraction must be in (0, 1), got {c.split_fraction}")
-    unknown_names = [name for name in c.distributions if name not in DISTRIBUTIONS]
-    unknown_names += [name for name in c.estimators if name not in ESTIMATOR_KINDS]
-    if unknown_names:
-        raise ConfigError(f"unknown distribution or estimator: {', '.join(unknown_names)}")
+    if c.instances < 1:
+        raise ConfigError(f"instances must be at least 1, got {c.instances}")
     # Constructing the stage settings refuses out-of-range values before any stage runs.
+    ProblemSpec(c.n, c.m)
+    generators = [(dist, *_generator(dist, c.n, vars(c))) for dist in c.distributions]
     dataset_cfg = DatasetConfig(c.kappa, c.pairs_per_level)
     TrainConfig(c.learning_rate, c.batch_size, c.epochs)
     checked_checkpoints(c.evals, c.checkpoints)
+    if "neural" in c.estimators:
+        check_levels(c.n, c.m, range(1, c.kappa + 1), c.pairs_per_level, c.node_budget)
 
     out_dir = c.out_dir
     for sub in ("tables", "datasets", "models", "curves"):
@@ -311,11 +317,11 @@ def run_pipeline(config: dict[str, str]) -> dict:
     def note_file(path: Path) -> None:
         manifest["files"][str(path.relative_to(out_dir))] = hashlib.sha256(path.read_bytes()).hexdigest()
 
-    for dist in c.distributions:
+    for dist, generate, params in generators:
         t0 = time.perf_counter()
         tables: list[ValueTable] = []
         for i in range(c.instances):
-            table = _generate_table(dist, ProblemSpec(c.n, c.m, stage_seed(f"table/{dist}/{i}")), vars(c))
+            table = generate(ProblemSpec(c.n, c.m, stage_seed(f"table/{dist}/{i}")), params)
             path = out_dir / "tables" / f"{dist}_{i}.ucav"
             table.save(path)
             note_file(path)
@@ -337,7 +343,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
                 model_path = out_dir / "models" / f"{dist}_{i}.ucam"
                 trace_path = out_dir / "models" / f"{dist}_{i}_trace.csv"
                 _, model, trace, steps = _fit(
-                    pairs, c.n, c.m, c.split_fraction, derive_seed(c.master_seed, f"split/{dist}/{i}"),
+                    pairs, c.n, c.m, c.split_fraction, stage_seed(f"split/{dist}/{i}"),
                     [c.learning_rate], [c.batch_size], c.epochs, stage_seed(f"train/{dist}/{i}"), model_path,
                     trace_path,
                 )

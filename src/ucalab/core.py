@@ -91,16 +91,13 @@ class ProblemSpec:
 class ValueTable:
     """Dense value function: values[mask, t] is the worth of bundle `mask` to alternative t.
 
-    The table takes ownership of the array and freezes it; every entry must
-    be finite. `seed` records how the table was generated and travels with
-    the on-disk format.
+    n, m and seed are checked as a `ProblemSpec`; `seed` records how the
+    table was generated and travels with the on-disk format. The table takes
+    ownership of the array and freezes it; every entry must be finite.
     """
 
     def __init__(self, n: int, m: int, values, seed: int = 0) -> None:
-        if not 1 <= n <= MAX_ELEMENTS:
-            raise ValueError(f"n must be in 1..{MAX_ELEMENTS}, got {n}")
-        if m < 1:
-            raise ValueError(f"m must be at least 1, got {m}")
+        ProblemSpec(n, m, seed)
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != (1 << n, m):
             raise ValueError(f"expected values of shape {(1 << n, m)}, got {arr.shape}")
@@ -172,16 +169,6 @@ class PartialAssignment:
     def is_assigned(self, element: int) -> bool:
         return self.labels[element] != UNASSIGNED
 
-    def with_label(self, element: int, alternative: int) -> "PartialAssignment":
-        """Copy with one additional element labeled; the element must be free."""
-        if self.labels[element] != UNASSIGNED:
-            raise ValueError(f"element {element} is already assigned")
-        if alternative < 0:
-            raise ValueError(f"alternative {alternative} is invalid")
-        labels = list(self.labels)
-        labels[element] = alternative
-        return PartialAssignment(tuple(labels))
-
     def bundle_masks(self, m: int) -> np.ndarray:
         """Per-alternative bundle bitmasks as an int64 array of length m."""
         masks = np.zeros(m, dtype=np.int64)
@@ -210,4 +197,5 @@ def expand_children(assignment: PartialAssignment, element: int, m: int) -> list
         raise ValueError(f"element {element} out of range")
     if assignment.is_assigned(element):
         raise ValueError(f"element {element} is already assigned")
-    return [assignment.with_label(element, t) for t in range(m)]
+    labels = assignment.labels
+    return [PartialAssignment(labels[:element] + (t,) + labels[element + 1 :]) for t in range(m)]

@@ -60,6 +60,17 @@ def sample_partial_assignment(spec: ProblemSpec, i: int, rng: np.random.Generato
     return PartialAssignment.from_labels(labels)
 
 
+def check_levels(n: int, m: int, levels, per_level: int, node_budget: int) -> None:
+    """Refuse a level outside 1..n, and a level whose per_level exact labels
+    would exceed the node budget (BudgetExceededError)."""
+    for unassigned in levels:
+        if not 1 <= unassigned <= n:
+            raise ValueError(f"level {unassigned} out of range for n={n}")
+        level_cost = per_level * dfs_node_count(m, unassigned)
+        if level_cost > node_budget:
+            raise BudgetExceededError(level_cost, node_budget, f"level with {unassigned} unassigned")
+
+
 def label_levels(
     table: ValueTable,
     levels,
@@ -70,14 +81,9 @@ def label_levels(
     """per_level uniform partial assignments with exact labels for each
     unassigned count in `levels`, ordered by (level, draw index).
 
-    Every level's range and labeling cost is checked before the first draw.
+    Every level is checked by `check_levels` before the first draw.
     """
-    for unassigned in levels:
-        if not 1 <= unassigned <= table.n:
-            raise ValueError(f"level {unassigned} out of range for n={table.n}")
-        level_cost = per_level * dfs_node_count(table.m, unassigned)
-        if level_cost > node_budget:
-            raise BudgetExceededError(level_cost, node_budget, f"level with {unassigned} unassigned")
+    check_levels(table.n, table.m, levels, per_level, node_budget)
     spec = ProblemSpec(table.n, table.m, table.seed)
     pairs: list[LabeledPair] = []
     for unassigned in levels:
@@ -99,8 +105,6 @@ def build_dataset(
     deterministic per cfg.seed; records are ordered by (level, draw index)."""
     if spec.n != table.n or spec.m != table.m:
         raise ValueError("problem spec and value table dimensions disagree")
-    if cfg.kappa > spec.n:
-        raise ValueError(f"kappa {cfg.kappa} exceeds n={spec.n}")
     rng = np.random.default_rng(cfg.seed)
     return label_levels(table, range(1, cfg.kappa + 1), cfg.pairs_per_level, rng, node_budget)
 

@@ -96,12 +96,12 @@ def greedy_rollout(table: ValueTable, estimator: Estimator, rng: np.random.Gener
 
 
 def checked_checkpoints(n_evals: int, checkpoints) -> list[int]:
-    """The checkpoints as ints, refused unless sorted within 1..n_evals."""
+    """The checkpoints as ints, refused unless strictly ascending in 1..n_evals."""
     if n_evals < 1:
         raise ValueError("n_evals must be at least 1")
     checkpoints = [int(c) for c in checkpoints]
-    if checkpoints != sorted(checkpoints):
-        raise ValueError("checkpoints must be sorted ascending")
+    if any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("checkpoints must be strictly ascending")
     if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n_evals):
         raise ValueError("checkpoints must lie in 1..n_evals")
     return checkpoints

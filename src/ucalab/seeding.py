@@ -8,13 +8,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(master: int, label: str) -> int:
     digest = hashlib.sha256(f"{master}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def derived_rng(master: int, label: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master, label))

@@ -13,33 +13,36 @@ minor order, so a (spec, params) pair always reproduces the same table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .core import ProblemSpec, ValueTable
 
 
-@dataclass(frozen=True)
-class NpdParams:
-    mu: float = 1.0
-    sigma: float = 0.1
+class _CheckedParams:
+    """Refuses a NaN or infinite field, by name, and a negative sigma."""
 
     def __post_init__(self) -> None:
+        for f, value in zip(fields(self), astuple(self)):
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 
 
 @dataclass(frozen=True)
-class TrapParams:
+class NpdParams(_CheckedParams):
+    mu: float = 1.0
+    sigma: float = 0.1
+
+
+@dataclass(frozen=True)
+class TrapParams(_CheckedParams):
     sigma: float = 0.1
     delta: float = 0.1
     tau_threshold: float = 10.0
     epsilon: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
 
 
 def trap_mean(bundle_size: int, p: TrapParams) -> float:

@@ -128,14 +128,15 @@ def test_prediction_report_generalization_split():
     # a model trained on 1..2 unassigned elements is evaluated on 3..4,
     # probing generalization beyond its training levels
     from ucalab.dataset import DatasetConfig, build_dataset, split_dataset
-    from ucalab.neural import TrainConfig, train
+    from ucalab.neural import TrainConfig, predict_value_to_go, train
 
     spec = ProblemSpec(8, 2, 90)
     table = npd_table(8, 2, 90)
     pairs = build_dataset(spec, table, DatasetConfig(kappa=2, pairs_per_level=200, seed=91))
     train_pairs, test_pairs = split_dataset(pairs, 0.1, np.random.default_rng(92))
     model, _ = train(train_pairs, test_pairs, TrainConfig(1e-3, 32, 30, seed=93), 8, 2)
-    report = prediction_error_report(model, table, [3, 4], 30, np.random.default_rng(94))
+    predict = lambda s: predict_value_to_go(model, s, table)  # noqa: E731
+    report = prediction_error_report(predict, table, [3, 4], 30, np.random.default_rng(94))
     assert [row.unassigned for row in report.rows] == [3, 4]
     for row in report.rows:
         assert np.isfinite(row.mean_error) and np.isfinite(row.std_error)

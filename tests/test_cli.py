@@ -9,6 +9,7 @@ from ucalab.cli import main, read_config
 from ucalab.core import ValueTable
 from ucalab.dataset import load_dataset
 from ucalab.neural import MlpModel
+from ucalab.seeding import derive_seed
 
 
 def run_cli(argv):
@@ -172,8 +173,14 @@ def test_bench_unknown_config_key_names_it(tmp_path, capsys):
         ("prediction", "table={table}\nmodel={dir}/missing.ucam\nlevels=\nsamples_per_level=5\n",
          "config key levels: must list at least one value"),
         ("histogram", "table={table}\nsamples=100\nbins=many\n", "config key bins: invalid literal for int()"),
+        # these two used to load the tables first, so a missing table exited 1
+        ("curves", "tables={dir}/missing.ucav\nestimators=current,greedy\nevals=5\ncheckpoints=5\n",
+         "config key estimators: unknown distribution or estimator: greedy"),
+        ("curves", "tables={dir}/missing.ucav\nestimators=current\nevals=5\ncheckpoints=5,10\n",
+         "checkpoints must lie in 1..n_evals"),
     ],
-    ids=["models-without-neural", "model-count-before-loading", "empty-tables", "empty-levels", "unparsable-value"],
+    ids=["models-without-neural", "model-count-before-loading", "empty-tables", "empty-levels", "unparsable-value",
+         "unknown-estimator-before-loading", "checkpoint-beyond-evals-before-loading"],
 )
 def test_bench_refuses_bad_config_by_name_before_loading_or_writing(tmp_path, capsys, experiment, config, message):
     table_path = tmp_path / "t.ucav"
@@ -442,9 +449,21 @@ def test_train_on_dataset_with_out_of_range_label_is_runtime_error(tmp_path, cap
         ("estimators=\n", "config key estimators: must list at least one value"),
         ("distributions= , \n", "config key distributions: must list at least one value"),
         ("n=abc\n", "config key n: invalid literal for int() with base 10: 'abc'"),
+        # each of these used to exit 2 only after creating out_dir, or after a stage
+        ("n=0\n", "n must be in 1..30, got 0"),
+        ("n=31\n", "n must be in 1..30, got 31"),
+        ("m=0\n", "m must be at least 1, got 0"),
+        ("sigma=-1\n", "sigma must be nonnegative"),
+        ("instances=0\n", "instances must be at least 1, got 0"),
+        ("n=5\nkappa=6\n", "level 6 out of range for n=5"),
+        ("checkpoints=10,10,30\n", "checkpoints must be strictly ascending"),
+        # a NaN tau gave every bundle size the TRAP bonus; a NaN learning rate failed as diverged training
+        ("tau=nan\n", "tau_threshold must be finite, got nan"),
+        ("learning_rate=nan\n", "learning_rate must be finite and nonnegative, got nan"),
     ],
     ids=["misspelt-key", "split-fraction", "unknown-estimator", "checkpoint-beyond-evals", "empty-checkpoints",
-         "empty-estimators", "empty-distributions", "unparsable-value"],
+         "empty-estimators", "empty-distributions", "unparsable-value", "n-zero", "n-too-large", "m-zero",
+         "negative-sigma", "no-instances", "kappa-beyond-n", "repeated-checkpoint", "nan-tau", "nan-learning-rate"],
 )
 def test_pipeline_refuses_bad_config_before_the_first_stage(tmp_path, capsys, extra, message):
     out_dir = tmp_path / "run"
@@ -454,3 +473,47 @@ def test_pipeline_refuses_bad_config_before_the_first_stage(tmp_path, capsys, ex
     assert run_cli(["pipeline", "--config", str(cfg)]) == 2
     assert not out_dir.exists()
     assert message in capsys.readouterr().err
+
+
+def test_pipeline_refuses_labeling_over_budget_before_the_first_stage(tmp_path, capsys):
+    # the budget used to be checked only when labeling, after a table was written
+    out_dir = tmp_path / "run"
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PIPELINE_CONFIG.format(out_dir=out_dir) + "node_budget=5\n")
+    assert run_cli(["pipeline", "--config", str(cfg)]) == 1
+    assert not out_dir.exists()
+    assert "budget is 5 (level with 1 unassigned)" in capsys.readouterr().err
+
+
+def test_generate_refuses_non_finite_tau(tmp_path, capsys):
+    # `s < nan` is false for every size, so a NaN tau gave every bundle the bonus
+    out = tmp_path / "trap.ucav"
+    code = run_cli(["generate", "--dist", "trap", "--n", "4", "--m", "2", "--seed", "1",
+                    "--tau", "nan", "--out", str(out)])
+    assert code == 2
+    assert "tau_threshold must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rollout_refuses_repeated_checkpoint(tmp_path, capsys):
+    table_path = tmp_path / "t.ucav"
+    run_cli(["generate", "--dist", "npd", "--n", "4", "--m", "2", "--seed", "1", "--out", str(table_path)])
+    capsys.readouterr()
+    code = run_cli(["rollout", "--table", str(table_path), "--estimator", "current", "--evals", "5",
+                    "--checkpoints", "1,1,5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "checkpoints must be strictly ascending" in captured.err and captured.out == ""
+
+
+def test_pipeline_manifest_records_split_seeds(tmp_path, capsys):
+    out_dir = tmp_path / "tiny"
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        "master_seed=5\nn=4\nm=2\nkappa=1\npairs_per_level=10\nepochs=1\n"
+        "learning_rate=1e-3\nbatch_size=8\ninstances=1\nevals=2\ncheckpoints=2\n"
+        f"out_dir={out_dir}\ndistributions=npd\n"
+    )
+    assert run_cli(["pipeline", "--config", str(cfg)]) == 0
+    seeds = json.loads((out_dir / "manifest.json").read_text())["seeds"]
+    assert seeds["split/npd/0"] == derive_seed(5, "split/npd/0")

@@ -162,11 +162,18 @@ def test_matrix_encoding_round_trip():
 def test_partial_assignment_mask_consistency_enforced():
     # the mask is derived from the labels, so a caller cannot pass one
     assert PartialAssignment((0, UNASSIGNED)).assigned_mask == 0b01
-    assert PartialAssignment.empty(3).with_label(2, 1).assigned_mask == 0b100
+    assert expand_children(PartialAssignment.empty(3), 2, 2)[1].assigned_mask == 0b100
     with pytest.raises(TypeError):
         PartialAssignment((0, UNASSIGNED), 0b10)
     with pytest.raises(ValueError):
         PartialAssignment((-3, UNASSIGNED))
+
+
+def test_value_table_refuses_seed_outside_u64():
+    # a negative seed used to be accepted and fail in `save` as a bare struct.error
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            ValueTable(2, 2, np.zeros((4, 2)), seed=seed)
 
 
 def test_table_file_round_trip(tmp_path):

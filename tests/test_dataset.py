@@ -9,7 +9,7 @@ from oracles import all_completion_values
 
 from ucalab import exact
 from ucalab.bench import prediction_error_report
-from ucalab.core import FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, value_of
+from ucalab.core import FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, expand_children, value_of
 from ucalab.dataset import (
     DatasetConfig,
     LabeledPair,
@@ -83,9 +83,7 @@ def test_kappa_one_targets_are_single_step_maxima():
     for pair in build_dataset(spec, table, cfg):
         free = [j for j, lab in enumerate(pair.assignment.labels) if lab == UNASSIGNED]
         assert len(free) == 1
-        candidates = [
-            value_of(pair.assignment.with_label(free[0], t), table) for t in range(3)
-        ]
+        candidates = [value_of(child, table) for child in expand_children(pair.assignment, free[0], 3)]
         assert pair.target == max(candidates)
         assert pair.current_value == value_of(pair.assignment, table)
 

@@ -467,6 +467,12 @@ def test_train_config_validation():
         TrainConfig(1e-3, 4, 0)
 
 
+@pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")])
+def test_train_config_refuses_non_finite_learning_rate(learning_rate):
+    with pytest.raises(ValueError, match="learning_rate must be finite"):
+        TrainConfig(learning_rate, 4, 1)
+
+
 def test_model_save_refuses_non_finite_parameters(tmp_path):
     model = init_model(2, 2, np.random.default_rng(32))
     model.weights[1][0, 0] = np.nan

@@ -133,3 +133,13 @@ def test_params_validation():
         TrapParams(sigma=-1.0)
     with pytest.raises(ValueError):
         trap_mean(-1, FULL_SCALE_TRAP)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("params, field", [
+    (NpdParams, "mu"), (NpdParams, "sigma"),
+    (TrapParams, "sigma"), (TrapParams, "delta"), (TrapParams, "tau_threshold"), (TrapParams, "epsilon"),
+])
+def test_params_refuse_non_finite_values(params, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        params(**{field: value})
