@@ -34,7 +34,7 @@ from .bench import (
 from .core import FormatError, ProblemSpec, ValueTable
 from .dataset import DatasetConfig, build_dataset, check_levels, load_dataset, save_dataset, split_dataset
 from .exact import BudgetExceededError, DEFAULT_NODE_BUDGET, solve_exact
-from .neural import MlpModel, TrainConfig, TrainingDivergedError, grid_search, predict_value_to_go, train
+from .neural import MlpModel, TrainConfig, TrainingDivergedError, check_fits, grid_search, predict_value_to_go, train
 from .search import ESTIMATOR_KINDS, Estimator, best_of_n, checked_checkpoints
 from .seeding import derive_seed
 from .valuegen import NpdParams, TrapParams, generate_npd, generate_trap
@@ -53,15 +53,20 @@ SPLIT_FRACTION = 0.1  # default share of each dataset held out for testing
 
 def _list_parser(kind, names=None):
     """A parser of comma-separated values, skipping blank entries and
-    refusing an empty list and, when `names` is given, any value outside it."""
+    refusing an empty list and, when `names` is given, any value outside it
+    and any value listed twice."""
 
     def parse(text: str) -> tuple:
         values = tuple(kind(part.strip()) for part in text.split(",") if part.strip())
         if not values:
             raise ValueError("must list at least one value")
-        unknown = [value for value in values if names is not None and value not in names]
-        if unknown:
-            raise ValueError(f"unknown distribution or estimator: {', '.join(unknown)}")
+        if names is not None:
+            unknown = [value for value in values if value not in names]
+            if unknown:
+                raise ValueError(f"unknown distribution or estimator: {', '.join(unknown)}")
+            repeated = sorted({value for i, value in enumerate(values) if value in values[:i]})
+            if repeated:
+                raise ValueError(f"repeated distribution or estimator: {', '.join(repeated)}")
         return values
 
     parse.__name__ = f"{kind.__name__}_list"  # argparse names the type in its errors
@@ -70,7 +75,7 @@ def _list_parser(kind, names=None):
 
 STR_LIST, INT_LIST, FLOAT_LIST = (_list_parser(kind) for kind in (str, int, float))
 DIST_LIST, ESTIMATOR_LIST = _list_parser(str, DISTRIBUTIONS), _list_parser(str, ESTIMATOR_KINDS)
-# The default of a key every config must set (None is tau's default).
+# The default of a key or flag that must be set (None is tau's default).
 REQUIRED = object()
 # Each config's schema maps a key to (parser, default), required keys first.
 PIPELINE_KEYS = {
@@ -258,6 +263,7 @@ def cmd_bench(args) -> int:
     if experiment == "prediction":
         table = ValueTable.load(c.table)
         model = MlpModel.load(c.model)
+        check_fits(model, table)
         report = prediction_error_report(
             lambda assignment: predict_value_to_go(model, assignment, table),
             table, c.levels, c.samples_per_level, np.random.default_rng(c.seed), node_budget=c.node_budget,
@@ -274,6 +280,8 @@ def cmd_bench(args) -> int:
     checked_checkpoints(c.evals, c.checkpoints)
     tables = [ValueTable.load(p) for p in c.tables]
     models = [MlpModel.load(p) for p in c.models or ()]
+    for model, table in zip(models, tables):
+        check_fits(model, table)
     estimators = _estimators(c.estimators, models, len(tables))
     _curves(tables, estimators, c.evals, c.checkpoints, c.seed, c.node_budget, out_dir / "curves.csv")
     print(f"wrote {out_dir / 'curves.csv'}")
@@ -380,68 +388,45 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+# Each subcommand's handler, help line and flag schema. A flag maps to
+# (parser, default) as a config key does; a tuple of names as the parser
+# means one of those names.
+COMMANDS = {
+    "generate": (cmd_generate, "generate a value table", {
+        "dist": (DISTRIBUTIONS, REQUIRED), "n": (int, REQUIRED), "m": (int, REQUIRED), "seed": (int, REQUIRED),
+        **{key: (float, default) for key, default in DIST_DEFAULTS.items()}, "out": (str, REQUIRED)}),
+    "solve": (cmd_solve, "exact optimum by exhaustive search", {
+        "table": (str, REQUIRED), "budget": (int, DEFAULT_NODE_BUDGET)}),
+    "label": (cmd_label, "build an exactly labeled dataset", {
+        "table": (str, REQUIRED), "kappa": (int, REQUIRED), "pairs": (int, REQUIRED), "seed": (int, REQUIRED),
+        "budget": (int, DEFAULT_NODE_BUDGET), "out": (str, REQUIRED)}),
+    "train": (cmd_train, "train the value-to-go network", {
+        "data": (str, REQUIRED), "out": (str, REQUIRED), "lr-grid": (FLOAT_LIST, (1e-4, 3e-4, 1e-3, 3e-3)),
+        "batch-grid": (INT_LIST, (32, 64, 128)), "epochs": (int, 200), "split": (float, SPLIT_FRACTION),
+        "seed": (int, 0), "trace": (str, None)}),
+    "rollout": (cmd_rollout, "best-of-N greedy rollouts", {
+        "table": (str, REQUIRED), "estimator": (ESTIMATOR_KINDS, REQUIRED), "model": (str, None),
+        "evals": (int, REQUIRED), "checkpoints": (INT_LIST, None), "seed": (int, 0)}),
+    "bench": (cmd_bench, "run one benchmark experiment from a config file", {
+        "experiment": (tuple(BENCH_KEYS), REQUIRED), "config": (str, REQUIRED), "out-dir": (str, REQUIRED)}),
+    "pipeline": (cmd_pipeline, "generate, label, train, and benchmark from a config file", {
+        "config": (str, REQUIRED)}),
+}
+FLAG_HELP = {
+    "tau": "trap threshold (default n/2)", "trace": "trace CSV path (default training_trace.csv next to model)",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ucalab",
-        description="Utilitarian combinatorial assignment laboratory",
-    )
+    parser = argparse.ArgumentParser(prog="ucalab", description="Utilitarian combinatorial assignment laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="generate a value table")
-    p.add_argument("--dist", choices=DISTRIBUTIONS, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    for key, default in DIST_DEFAULTS.items():
-        p.add_argument(f"--{key}", type=float, default=default,
-                       help="trap threshold (default n/2)" if key == "tau" else None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("solve", help="exact optimum by exhaustive search")
-    p.add_argument("--table", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("label", help="build an exactly labeled dataset")
-    p.add_argument("--table", required=True)
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_label)
-
-    p = sub.add_parser("train", help="train the value-to-go network")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--lr-grid", type=FLOAT_LIST, default=[1e-4, 3e-4, 1e-3, 3e-3])
-    p.add_argument("--batch-grid", type=INT_LIST, default=[32, 64, 128])
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--split", type=float, default=SPLIT_FRACTION)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", default=None, help="trace CSV path (default training_trace.csv next to model)")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("rollout", help="best-of-N greedy rollouts")
-    p.add_argument("--table", required=True)
-    p.add_argument("--estimator", choices=ESTIMATOR_KINDS, required=True)
-    p.add_argument("--model", default=None)
-    p.add_argument("--evals", type=int, required=True)
-    p.add_argument("--checkpoints", type=INT_LIST, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_rollout)
-
-    p = sub.add_parser("bench", help="run one benchmark experiment from a config file")
-    p.add_argument("--experiment", choices=tuple(BENCH_KEYS), required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("pipeline", help="generate, label, train, and benchmark from a config file")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_pipeline)
-
+    for command, (handler, help_line, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag, (parse, default) in flags.items():
+            kind = {"choices": parse} if isinstance(parse, tuple) else {"type": parse}
+            setting = {"required": True} if default is REQUIRED else {"default": default}
+            p.add_argument(f"--{flag}", help=FLAG_HELP.get(flag), **kind, **setting)
+        p.set_defaults(func=handler)
     return parser
 
 

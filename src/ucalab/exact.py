@@ -30,9 +30,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, needed: int, budget: int, context: str = "") -> None:
         where = f" ({context})" if context else ""
         super().__init__(f"search needs {needed} nodes, budget is {budget}{where}")
-        self.needed = needed
-        self.budget = budget
-        self.context = context
 
 
 def dfs_node_count(m: int, depth: int) -> int:
@@ -52,14 +49,18 @@ def _completion_masks(base: np.ndarray, bits: list[int]) -> np.ndarray:
     return masks
 
 
-def _best_completion(values: np.ndarray, base: np.ndarray, bits: list[int]) -> tuple[float, int]:
-    """Best completion value and the lexicographic index of its first occurrence.
+def _best_completion(values: np.ndarray, base: np.ndarray, bits: list[int], node_budget: int) -> tuple[float, int]:
+    """Best completion value and the lexicographic index of its first occurrence,
+    refused before any work when the search tree has more than node_budget nodes.
 
     The trailing free elements form an inner block of at most
     BLOCK_COMPLETIONS rows that each prefix of the leading ones is ORed
     into, so memory stays bounded by the block whatever the depth.
     """
     m = len(base)
+    needed = dfs_node_count(m, len(bits))
+    if needed > node_budget:
+        raise BudgetExceededError(needed, node_budget, f"depth {len(bits)}, branching {m}")
     split = len(bits)
     while split and m ** (len(bits) - split + 1) <= BLOCK_COMPLETIONS:
         split -= 1
@@ -83,10 +84,7 @@ def exact_value_to_go(
     if assignment.n != table.n:
         raise ValueError(f"assignment has {assignment.n} elements, table expects {table.n}")
     bits = [1 << e for e in range(table.n) if not assignment.is_assigned(e)]
-    needed = dfs_node_count(table.m, len(bits))
-    if needed > node_budget:
-        raise BudgetExceededError(needed, node_budget, f"depth {len(bits)}, branching {table.m}")
-    return _best_completion(table.values, assignment.bundle_masks(table.m), bits)[0]
+    return _best_completion(table.values, assignment.bundle_masks(table.m), bits, node_budget)[0]
 
 
 def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[PartialAssignment, float]:
@@ -95,8 +93,5 @@ def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tu
     Ties resolve to the first optimum in lexicographic label order.
     """
     n, m = table.n, table.m
-    needed = dfs_node_count(m, n)
-    if needed > node_budget:
-        raise BudgetExceededError(needed, node_budget, f"depth {n}, branching {m}")
-    value, where = _best_completion(table.values, np.zeros(m, dtype=np.int64), [1 << e for e in range(n)])
+    value, where = _best_completion(table.values, np.zeros(m, dtype=np.int64), [1 << e for e in range(n)], node_budget)
     return PartialAssignment.from_labels(np.unravel_index(where, (m,) * n)), value

@@ -446,7 +446,14 @@ def grid_search(
     return best
 
 
+def check_fits(model: MlpModel, table: ValueTable) -> None:
+    """Refuse a model trained for another n or m than the table's."""
+    if (model.n, model.m) != (table.n, table.m):
+        raise ValueError(f"model is for n={model.n}, m={model.m}, but the table has n={table.n}, m={table.m}")
+
+
 def predict_value_to_go(model: MlpModel, assignment: PartialAssignment, table: ValueTable) -> float:
     """Estimated best completion value for a partial assignment."""
+    check_fits(model, table)
     current = value_of(assignment, table)
     return forward(model, encode_input(assignment, current, model.m, model.value_norm))

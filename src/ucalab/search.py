@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PartialAssignment, ValueTable, value_of
-from .neural import MlpModel, forward
+from .neural import MlpModel, check_fits, forward
 
 ESTIMATOR_KINDS = ("current", "random", "neural")
 
@@ -59,19 +59,18 @@ class RolloutResult:
 def greedy_rollout(table: ValueTable, estimator: Estimator, rng: np.random.Generator) -> PartialAssignment:
     """One complete assignment built greedily under the estimator."""
     n, m = table.n, table.m
-    if estimator.kind == "neural" and (estimator.model.n != n or estimator.model.m != m):
-        raise ValueError("neural estimator model dimensions do not match the table")
     values = table.values
     cols = np.arange(m)
-    order = rng.permutation(n)
     labels = np.full(n, -1, dtype=np.int64)
     masks = np.zeros(m, dtype=np.int64)
     current = float(values[masks, cols].sum())
     encoding = None
     if estimator.kind == "neural":
+        check_fits(estimator.model, table)
         encoding = np.zeros(m * n + 1)
         vmean, vstd = estimator.model.value_norm
-    for e in order:
+    # the model is checked before the order is drawn, so a refusal leaves rng untouched
+    for e in rng.permutation(n):
         e = int(e)
         bit = 1 << e
         old = values[masks, cols]

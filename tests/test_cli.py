@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from ucalab import cli
 from ucalab.cli import main, read_config
 from ucalab.core import ValueTable
 from ucalab.dataset import load_dataset
-from ucalab.neural import MlpModel
+from ucalab.neural import MlpModel, init_model
 from ucalab.seeding import derive_seed
 
 
@@ -178,9 +179,13 @@ def test_bench_unknown_config_key_names_it(tmp_path, capsys):
          "config key estimators: unknown distribution or estimator: greedy"),
         ("curves", "tables={dir}/missing.ucav\nestimators=current\nevals=5\ncheckpoints=5,10\n",
          "checkpoints must lie in 1..n_evals"),
+        # a repeated estimator used to be merged silently
+        ("curves", "tables={dir}/missing.ucav\nestimators=current,random,current\nevals=5\ncheckpoints=5\n",
+         "config key estimators: repeated distribution or estimator: current"),
     ],
     ids=["models-without-neural", "model-count-before-loading", "empty-tables", "empty-levels", "unparsable-value",
-         "unknown-estimator-before-loading", "checkpoint-beyond-evals-before-loading"],
+         "unknown-estimator-before-loading", "checkpoint-beyond-evals-before-loading",
+         "repeated-estimator-before-loading"],
 )
 def test_bench_refuses_bad_config_by_name_before_loading_or_writing(tmp_path, capsys, experiment, config, message):
     table_path = tmp_path / "t.ucav"
@@ -191,6 +196,31 @@ def test_bench_refuses_bad_config_by_name_before_loading_or_writing(tmp_path, ca
     out_dir = tmp_path / "out"
     assert run_cli(["bench", "--experiment", experiment, "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
     assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, config",
+    [
+        ("prediction", "table={table}\nmodel={model}\nlevels=1\nsamples_per_level=5\n"),
+        ("curves", "tables={table}\nestimators=current,neural\nevals=5\ncheckpoints=5\nmodels={model}\n"),
+    ],
+    ids=["prediction", "curves"],
+)
+def test_bench_refuses_a_model_for_other_dimensions_before_any_work(tmp_path, capsys, monkeypatch, experiment, config):
+    # the prediction report used to be written with every prediction meaningless;
+    # neither the labeling nor the rollouts may start
+    monkeypatch.setattr(cli, "prediction_error_report", None)
+    monkeypatch.setattr(cli, "benchmark_curves", None)
+    table_path, model_path = tmp_path / "t.ucav", tmp_path / "m.ucam"
+    run_cli(["generate", "--dist", "npd", "--n", "4", "--m", "3", "--seed", "9", "--out", str(table_path)])
+    init_model(4, 2, np.random.default_rng(0)).save(model_path)
+    capsys.readouterr()
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(config.format(table=table_path, model=model_path))
+    out_dir = tmp_path / "out"
+    assert run_cli(["bench", "--experiment", experiment, "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert "model is for n=4, m=2, but the table has n=4, m=3" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -460,10 +490,14 @@ def test_train_on_dataset_with_out_of_range_label_is_runtime_error(tmp_path, cap
         # a NaN tau gave every bundle size the TRAP bonus; a NaN learning rate failed as diverged training
         ("tau=nan\n", "tau_threshold must be finite, got nan"),
         ("learning_rate=nan\n", "learning_rate must be finite and nonnegative, got nan"),
+        # a repeated distribution used to run twice, its second pass overwriting the first's files
+        ("distributions=npd,trap,npd\n", "config key distributions: repeated distribution or estimator: npd"),
+        ("estimators=current,current\n", "config key estimators: repeated distribution or estimator: current"),
     ],
     ids=["misspelt-key", "split-fraction", "unknown-estimator", "checkpoint-beyond-evals", "empty-checkpoints",
          "empty-estimators", "empty-distributions", "unparsable-value", "n-zero", "n-too-large", "m-zero",
-         "negative-sigma", "no-instances", "kappa-beyond-n", "repeated-checkpoint", "nan-tau", "nan-learning-rate"],
+         "negative-sigma", "no-instances", "kappa-beyond-n", "repeated-checkpoint", "nan-tau", "nan-learning-rate",
+         "repeated-distribution", "repeated-estimator"],
 )
 def test_pipeline_refuses_bad_config_before_the_first_stage(tmp_path, capsys, extra, message):
     out_dir = tmp_path / "run"

@@ -1,7 +1,7 @@
 """The README's library layout table and `ucalab.__all__` name only what
-exists, its pipeline and bench config sections list exactly the accepted
-keys with the defaults of the config schemas, and its file formats section
-gives each format's header struct."""
+exists, its flags table and its pipeline and bench config sections list
+exactly the accepted flags and keys with the defaults of their schemas, and
+its file formats section gives each format's header struct."""
 
 import importlib
 import re
@@ -50,6 +50,28 @@ def required_and_optional(schema):
     return required, set(schema) - required
 
 
+def written_out(text):
+    """`text` with a power such as 10^8 written out."""
+    return re.sub(r"(\d+)\^(\d+)", lambda p: str(int(p[1]) ** int(p[2])), text)
+
+
+def test_readme_flags_are_the_declared_flags_with_their_defaults():
+    from ucalab.cli import COMMANDS, REQUIRED
+
+    documented, defaults = {}, {}
+    for line in section("### Flags").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            command = cells[0].strip("`")
+            documented[command] = tuple(set(re.findall(r"`--([\w-]+)`", cell)) for cell in cells[1:])
+            defaults[command] = dict(re.findall(r"`--([\w-]+)` \(default `([^`]+)`", cells[2]))
+    assert documented == {command: required_and_optional(flags) for command, (_, _, flags) in COMMANDS.items()}
+    for command, (_, _, flags) in COMMANDS.items():
+        expected = {flag: default for flag, (_, default) in flags.items() if default not in (REQUIRED, None)}
+        parsed = {flag: flags[flag][0](written_out(text)) for flag, text in defaults[command].items()}
+        assert parsed == expected, command
+
+
 def test_readme_pipeline_keys_are_the_accepted_keys():
     from ucalab.cli import PIPELINE_KEYS
 
@@ -75,9 +97,9 @@ def test_readme_defaults_are_the_schema_defaults():
     from ucalab.cli import BENCH_KEYS, PIPELINE_KEYS, REQUIRED
 
     for title, schemas in (("### Pipeline config", [PIPELINE_KEYS]), ("### Bench config", BENCH_KEYS.values())):
-        # each "`key` (default `value`" in the section, with a power such as 10^8 written out
+        # each "`key` (default `value`" in the section
         found = re.findall(r"`(\w+)` \(default `([^`]+)`", " ".join(section(title).split()))
-        documented = {key: re.sub(r"(\d+)\^(\d+)", lambda p: str(int(p[1]) ** int(p[2])), text) for key, text in found}
+        documented = {key: written_out(text) for key, text in found}
         for schema in schemas:
             defaults = {key: default for key, (_, default) in schema.items() if default not in (REQUIRED, None)}
             parsed = {key: schema[key][0](text) for key, text in documented.items() if key in schema}

@@ -429,6 +429,14 @@ def test_predict_value_to_go_zero_model_constant():
     assert predict_value_to_go(model, s, table) == 3.25
 
 
+def test_predict_value_to_go_refuses_a_table_of_other_dimensions():
+    # the input is encoded for the model's m, so a model for m=2 used to score an m=3 table silently
+    table = generate_npd(ProblemSpec(4, 3, 1), NpdParams())
+    model = init_model(4, 2, np.random.default_rng(32))
+    with pytest.raises(ValueError, match="model is for n=4, m=2, but the table has n=4, m=3"):
+        predict_value_to_go(model, PartialAssignment.empty(4), table)
+
+
 def test_trained_model_beats_untrained_on_held_out_level_one():
     spec = ProblemSpec(6, 2, 33)
     table = generate_npd(spec, NpdParams(mu=0.0, sigma=1.0))

@@ -150,8 +150,11 @@ def test_best_of_n_validates_checkpoints():
 def test_neural_estimator_dimension_check():
     table = npd_table(4, 2, 20)
     model = init_model(3, 2, np.random.default_rng(21))
-    with pytest.raises(ValueError):
-        greedy_rollout(table, Estimator.neural(model), np.random.default_rng(22))
+    rng = np.random.default_rng(22)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="model is for n=3, m=2, but the table has n=4, m=2"):
+        greedy_rollout(table, Estimator.neural(model), rng)
+    assert rng.bit_generator.state == state  # refused before the element order is drawn
 
 
 def test_serial_determinism():
