@@ -32,7 +32,7 @@ from .bench import (
     write_prediction_report,
 )
 from .core import FormatError, ProblemSpec, ValueTable
-from .dataset import DatasetConfig, build_dataset, check_levels, load_dataset, save_dataset, split_dataset
+from .dataset import DatasetConfig, build_dataset, check_levels, load_dataset, save_dataset, split_dataset, split_sizes
 from .exact import BudgetExceededError, DEFAULT_NODE_BUDGET, solve_exact
 from .neural import MlpModel, TrainConfig, TrainingDivergedError, check_fits, grid_search, predict_value_to_go, train
 from .search import ESTIMATOR_KINDS, Estimator, best_of_n, checked_checkpoints
@@ -51,10 +51,10 @@ DIST_DEFAULTS = {"mu": 1.0, "sigma": 0.1, "delta": 0.1, "tau": None, "eps": 0.1}
 SPLIT_FRACTION = 0.1  # default share of each dataset held out for testing
 
 
-def _list_parser(kind, names=None):
+def _list_parser(kind, names=None, unique=None):
     """A parser of comma-separated values, skipping blank entries and
-    refusing an empty list and, when `names` is given, any value outside it
-    and any value listed twice."""
+    refusing an empty list, any value outside `names` when given and, when
+    `unique` names what the values are, any value listed twice."""
 
     def parse(text: str) -> tuple:
         values = tuple(kind(part.strip()) for part in text.split(",") if part.strip())
@@ -63,18 +63,22 @@ def _list_parser(kind, names=None):
         if names is not None:
             unknown = [value for value in values if value not in names]
             if unknown:
-                raise ValueError(f"unknown distribution or estimator: {', '.join(unknown)}")
+                raise ValueError(f"unknown {unique}: {', '.join(unknown)}")
+        if unique is not None:
             repeated = sorted({value for i, value in enumerate(values) if value in values[:i]})
             if repeated:
-                raise ValueError(f"repeated distribution or estimator: {', '.join(repeated)}")
+                raise ValueError(f"repeated {unique}: {', '.join(map(str, repeated))}")
         return values
 
     parse.__name__ = f"{kind.__name__}_list"  # argparse names the type in its errors
     return parse
 
 
-STR_LIST, INT_LIST, FLOAT_LIST = (_list_parser(kind) for kind in (str, int, float))
-DIST_LIST, ESTIMATOR_LIST = _list_parser(str, DISTRIBUTIONS), _list_parser(str, ESTIMATOR_KINDS)
+STR_LIST, INT_LIST = _list_parser(str), _list_parser(int)
+DIST_LIST = _list_parser(str, DISTRIBUTIONS, "distribution or estimator")
+ESTIMATOR_LIST = _list_parser(str, ESTIMATOR_KINDS, "distribution or estimator")
+# A repeated grid value would train the same cell twice.
+LR_GRID, BATCH_GRID = _list_parser(float, unique="grid value"), _list_parser(int, unique="grid value")
 # The default of a key or flag that must be set (None is tau's default).
 REQUIRED = object()
 # Each config's schema maps a key to (parser, default), required keys first.
@@ -309,6 +313,10 @@ def run_pipeline(config: dict[str, str]) -> dict:
     checked_checkpoints(c.evals, c.checkpoints)
     if "neural" in c.estimators:
         check_levels(c.n, c.m, range(1, c.kappa + 1), c.pairs_per_level, c.node_budget)
+        n_train, n_test = split_sizes(c.kappa * c.pairs_per_level, c.split_fraction)
+        if not (n_train and n_test):
+            raise ConfigError(f"split_fraction={c.split_fraction} leaves {n_train} train and {n_test} test records "
+                              "per dataset; both must be nonempty")
 
     out_dir = c.out_dir
     for sub in ("tables", "datasets", "models", "curves"):
@@ -401,8 +409,8 @@ COMMANDS = {
         "table": (str, REQUIRED), "kappa": (int, REQUIRED), "pairs": (int, REQUIRED), "seed": (int, REQUIRED),
         "budget": (int, DEFAULT_NODE_BUDGET), "out": (str, REQUIRED)}),
     "train": (cmd_train, "train the value-to-go network", {
-        "data": (str, REQUIRED), "out": (str, REQUIRED), "lr-grid": (FLOAT_LIST, (1e-4, 3e-4, 1e-3, 3e-3)),
-        "batch-grid": (INT_LIST, (32, 64, 128)), "epochs": (int, 200), "split": (float, SPLIT_FRACTION),
+        "data": (str, REQUIRED), "out": (str, REQUIRED), "lr-grid": (LR_GRID, (1e-4, 3e-4, 1e-3, 3e-3)),
+        "batch-grid": (BATCH_GRID, (32, 64, 128)), "epochs": (int, 200), "split": (float, SPLIT_FRACTION),
         "seed": (int, 0), "trace": (str, None)}),
     "rollout": (cmd_rollout, "best-of-N greedy rollouts", {
         "table": (str, REQUIRED), "estimator": (ESTIMATOR_KINDS, REQUIRED), "model": (str, None),

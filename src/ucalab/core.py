@@ -156,6 +156,8 @@ class PartialAssignment:
 
     @staticmethod
     def from_labels(labels) -> "PartialAssignment":
+        if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+            return PartialAssignment(tuple(labels.tolist()))
         return PartialAssignment(tuple(int(x) for x in labels))
 
     @property
@@ -171,14 +173,14 @@ class PartialAssignment:
 
     def bundle_masks(self, m: int) -> np.ndarray:
         """Per-alternative bundle bitmasks as an int64 array of length m."""
-        masks = np.zeros(m, dtype=np.int64)
+        masks = [0] * m
         for j, lab in enumerate(self.labels):
             if lab == UNASSIGNED:
                 continue
             if lab >= m:
                 raise ValueError(f"label {lab} at element {j} exceeds m={m}")
             masks[lab] |= 1 << j
-        return masks
+        return np.array(masks, dtype=np.int64)
 
 
 def value_of(assignment: PartialAssignment, table: ValueTable) -> float:

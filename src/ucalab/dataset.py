@@ -109,17 +109,24 @@ def build_dataset(
     return label_levels(table, range(1, cfg.kappa + 1), cfg.pairs_per_level, rng, node_budget)
 
 
+def split_sizes(count: int, split_fraction: float) -> tuple[int, int]:
+    """The train and test sizes of a split of `count` records:
+    ceil((1-f)*count) train and the rest test. f must lie in (0, 1)."""
+    if not 0.0 < split_fraction < 1.0:
+        raise ValueError(f"split fraction must be in (0, 1), got {split_fraction}")
+    n_train = math.ceil((1.0 - split_fraction) * count)
+    return n_train, count - n_train
+
+
 def split_dataset(
     pairs: list[LabeledPair],
     split_fraction: float,
     rng: np.random.Generator,
 ) -> tuple[list[LabeledPair], list[LabeledPair]]:
-    """Uniform shuffle, then ceil((1-f)*N) records for training and the rest
-    held out. f must lie in (0, 1)."""
-    if not 0.0 < split_fraction < 1.0:
-        raise ValueError(f"split fraction must be in (0, 1), got {split_fraction}")
+    """Uniform shuffle, then the first `split_sizes` records for training
+    and the rest held out."""
+    n_train, _ = split_sizes(len(pairs), split_fraction)
     order = rng.permutation(len(pairs))
-    n_train = math.ceil((1.0 - split_fraction) * len(pairs))
     train = [pairs[i] for i in order[:n_train]]
     test = [pairs[i] for i in order[n_train:]]
     return train, test

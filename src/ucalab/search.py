@@ -5,7 +5,8 @@ to the bundle whose child state scores highest (ties to the lowest
 alternative index). Scoring variants: the child's own value, an
 independent uniform draw (making the rollout a uniform sample of the
 search space), or a trained network's value-to-go prediction. The random
-element order is what makes repeated rollouts explore.
+element order is what makes repeated rollouts explore. Rollouts run in
+lockstep blocks: each element step of a block is one array program.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PartialAssignment, ValueTable, value_of
+from .core import UNASSIGNED, PartialAssignment, ValueTable, value_of
 from .neural import MlpModel, check_fits, forward
 
 ESTIMATOR_KINDS = ("current", "random", "neural")
+# The most rollouts run in lockstep at once, so memory does not grow with n_evals.
+ROLLOUT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -56,42 +59,58 @@ class RolloutResult:
     checkpoints: tuple[tuple[int, float], ...]
 
 
-def greedy_rollout(table: ValueTable, estimator: Estimator, rng: np.random.Generator) -> PartialAssignment:
-    """One complete assignment built greedily under the estimator."""
+def _lockstep_labels(table: ValueTable, estimator: Estimator, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The labels, one row per rollout, of `count` greedy rollouts run in
+    lockstep: each element step is one array program over every rollout.
+
+    Draws come in rollout order (a rollout's element order, then for
+    `random` its (n, m) scores), and each neural rollout scores its m
+    children with one `forward` call per step, so each row is bitwise the
+    rollout that the same draws would give when run alone."""
     n, m = table.n, table.m
     values = table.values
-    cols = np.arange(m)
-    labels = np.full(n, -1, dtype=np.int64)
-    masks = np.zeros(m, dtype=np.int64)
-    current = float(values[masks, cols].sum())
-    encoding = None
     if estimator.kind == "neural":
         check_fits(estimator.model, table)
-        encoding = np.zeros(m * n + 1)
         vmean, vstd = estimator.model.value_norm
-    # the model is checked before the order is drawn, so a refusal leaves rng untouched
-    for e in rng.permutation(n):
-        e = int(e)
+        # batch[r, t] encodes rollout r's child that puts this step's element in bundle t
+        batch = np.zeros((count, m, m * n + 1))
+    # the model is checked before the orders are drawn, so a refusal leaves rng untouched
+    orders = np.empty((count, n), dtype=np.int64)
+    draws = np.empty((count, n, m)) if estimator.kind == "random" else None
+    for r in range(count):
+        orders[r] = rng.permutation(n)
+        if draws is not None:
+            draws[r] = rng.random((n, m))
+    rows, cols = np.arange(count), np.arange(m)
+    labels = np.full((count, n), UNASSIGNED, dtype=np.int64)
+    masks = np.zeros((count, m), dtype=np.int64)
+    current = np.full(count, values[0].sum())
+    for step in range(n):
+        e = orders[:, step]
         bit = 1 << e
-        old = values[masks, cols]
-        new = values[masks | bit, cols]
-        child_values = current - old + new
+        child_values = current[:, None] - values[masks, cols] + values[masks | bit[:, None], cols]
         if estimator.kind == "current":
             scores = child_values
         elif estimator.kind == "random":
-            scores = rng.random(m)
+            scores = draws[:, step]
         else:
-            batch = np.repeat(encoding[None, :], m, axis=0)
-            batch[cols, cols * n + e] = 1.0
-            batch[:, m * n] = (child_values - vmean) / vstd
-            scores = forward(estimator.model, batch)
-        pick = int(np.argmax(scores))
-        labels[e] = pick
-        masks[pick] |= bit
-        current = float(child_values[pick])
-        if encoding is not None:
-            encoding[pick * n + e] = 1.0
-    return PartialAssignment.from_labels(labels)
+            slots = cols * n + e[:, None]
+            batch[rows[:, None], cols, slots] = 1.0
+            batch[:, :, m * n] = (child_values - vmean) / vstd
+            scores = np.array([forward(estimator.model, batch[r]) for r in range(count)])
+            batch[rows[:, None], cols, slots] = 0.0
+        pick = scores.argmax(axis=1)
+        labels[rows, e] = pick
+        masks[rows, pick] |= bit
+        current = child_values[rows, pick]
+        if estimator.kind == "neural":
+            batch[rows, :, pick * n + e] = 1.0
+    return labels
+
+
+def greedy_rollout(table: ValueTable, estimator: Estimator, rng: np.random.Generator) -> PartialAssignment:
+    """One complete assignment built greedily under the estimator."""
+    return PartialAssignment.from_labels(_lockstep_labels(table, estimator, 1, rng)[0])
 
 
 def checked_checkpoints(n_evals: int, checkpoints) -> list[int]:
@@ -114,19 +133,22 @@ def best_of_n(
     rng: np.random.Generator,
 ) -> RolloutResult:
     """Run n_evals independent rollouts (one evaluation = one complete
-    rollout) and track the running maximum value."""
+    rollout), in lockstep blocks of at most ROLLOUT_BLOCK, and track the
+    running maximum value."""
     checkpoints = checked_checkpoints(n_evals, checkpoints)
     best_value = -np.inf
     best_assignment = None
     recorded: list[tuple[int, float]] = []
     ci = 0
-    for evaluation in range(1, n_evals + 1):
-        assignment = greedy_rollout(table, estimator, rng)
-        val = value_of(assignment, table)
-        if val > best_value:
-            best_value = val
-            best_assignment = assignment
-        while ci < len(checkpoints) and checkpoints[ci] == evaluation:
-            recorded.append((evaluation, best_value))
-            ci += 1
+    for start in range(0, n_evals, ROLLOUT_BLOCK):
+        block = _lockstep_labels(table, estimator, min(ROLLOUT_BLOCK, n_evals - start), rng)
+        for evaluation, labels in enumerate(block, start + 1):
+            assignment = PartialAssignment.from_labels(labels)
+            val = value_of(assignment, table)
+            if val > best_value:
+                best_value = val
+                best_assignment = assignment
+            while ci < len(checkpoints) and checkpoints[ci] == evaluation:
+                recorded.append((evaluation, best_value))
+                ci += 1
     return RolloutResult(best_assignment, best_value, tuple(recorded))

@@ -6,7 +6,8 @@ m bundle entries of each completion and reducing along the row. The TRAP
 positive-value probability is computed in closed form over bundle-size
 profiles, without sampling and without `ucalab.bench`. Network training is
 written out per weight and bias array, without a flat parameter vector and
-without `ucalab.neural`.
+without `ucalab.neural`. Best-of-N rollouts are run one rollout and one
+element at a time, without `ucalab.search`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from collections import Counter
 import numpy as np
 
 from ucalab.core import PartialAssignment, UNASSIGNED, ValueTable
+from ucalab.neural import forward
 from ucalab.valuegen import TrapParams
 
 
@@ -201,3 +203,48 @@ def reference_train(train_pairs, test_pairs, n: int, m: int, lr: float, batch_si
             adam.step(weights, biases, *reference_gradients(weights, biases, X_train[idx], y_train[idx]))
         trace.append((epoch, mse(X_train, y_train), mse(X_test, y_test)))
     return weights, biases, value_norm, target_norm, trace
+
+
+def reference_best_of_n(table: ValueTable, kind: str, model, n_evals: int, checkpoints, rng: np.random.Generator):
+    """(best value, its labels, (checkpoint, best so far) pairs) of n_evals
+    greedy rollouts, run one after another and one element at a time.
+
+    Each rollout draws its element order, then for each element scores the m
+    children: by the child value, kept as current - old bundle + new bundle
+    entry; by `rng.random(m)` (kind "random"); or by one `forward` call on
+    the m children's encodings (kind "neural"). It commits the first
+    best-scoring child and is scored by gathering its m bundle entries.
+    """
+    n, m = table.n, table.m
+    values = table.values
+    best_value, best_labels, recorded = -math.inf, None, []
+    for evaluation in range(1, n_evals + 1):
+        labels = [UNASSIGNED] * n
+        masks = [0] * m
+        current = float(values[masks, np.arange(m)].sum())
+        for e in rng.permutation(n):
+            e = int(e)
+            child_values = [current - values[masks[t], t] + values[masks[t] | 1 << e, t] for t in range(m)]
+            if kind == "current":
+                scores = child_values
+            elif kind == "random":
+                scores = rng.random(m)
+            else:
+                batch = np.zeros((m, m * n + 1))
+                for t in range(m):
+                    for j, lab in enumerate(labels):
+                        if lab != UNASSIGNED:
+                            batch[t, lab * n + j] = 1.0
+                    batch[t, t * n + e] = 1.0
+                    batch[t, m * n] = (child_values[t] - model.value_norm[0]) / model.value_norm[1]
+                scores = forward(model, batch)
+            pick = max(range(m), key=lambda t: (scores[t], -t))
+            labels[e] = pick
+            masks[pick] |= 1 << e
+            current = child_values[pick]
+        value = float(values[masks, np.arange(m)].sum())
+        if value > best_value:
+            best_value, best_labels = value, tuple(labels)
+        if evaluation in checkpoints:
+            recorded.append((evaluation, best_value))
+    return best_value, best_labels, tuple(recorded)

@@ -392,6 +392,19 @@ def test_train_split_outside_unit_interval_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "m.ucam").exists()
 
 
+@pytest.mark.parametrize("grid", [["--lr-grid", "1e-3,1e-3"], ["--batch-grid", "8,4,8"]])
+def test_train_refuses_a_repeated_grid_value(tmp_path, capsys, grid):
+    # a repeated value used to train the same grid cell again
+    data_path = label_small_dataset(tmp_path)
+    capsys.readouterr()
+    flags = {"--lr-grid": "1e-3", "--batch-grid": "8", "--epochs": "1"} | dict([grid])
+    code = run_cli(["train", "--data", str(data_path), "--out", str(tmp_path / "m.ucam"),
+                    *(part for item in flags.items() for part in item)])
+    assert code == 2
+    assert f"argument {grid[0]}: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "m.ucam").exists()
+
+
 def test_train_diverged_prints_only_the_error_line(tmp_path):
     data_path = label_small_dataset(tmp_path)
     proc = subprocess.run(
@@ -493,11 +506,14 @@ def test_train_on_dataset_with_out_of_range_label_is_runtime_error(tmp_path, cap
         # a repeated distribution used to run twice, its second pass overwriting the first's files
         ("distributions=npd,trap,npd\n", "config key distributions: repeated distribution or estimator: npd"),
         ("estimators=current,current\n", "config key estimators: repeated distribution or estimator: current"),
+        # 5 records split ceil(0.9 * 5) = 5 to 0; training used to refuse that after a table and dataset were written
+        ("n=4\nm=2\nkappa=1\npairs_per_level=5\n",
+         "split_fraction=0.1 leaves 5 train and 0 test records per dataset; both must be nonempty"),
     ],
     ids=["misspelt-key", "split-fraction", "unknown-estimator", "checkpoint-beyond-evals", "empty-checkpoints",
          "empty-estimators", "empty-distributions", "unparsable-value", "n-zero", "n-too-large", "m-zero",
          "negative-sigma", "no-instances", "kappa-beyond-n", "repeated-checkpoint", "nan-tau", "nan-learning-rate",
-         "repeated-distribution", "repeated-estimator"],
+         "repeated-distribution", "repeated-estimator", "empty-test-split"],
 )
 def test_pipeline_refuses_bad_config_before_the_first_stage(tmp_path, capsys, extra, message):
     out_dir = tmp_path / "run"

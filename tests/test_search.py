@@ -1,9 +1,15 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_best_of_n
+
+from ucalab import search
 from ucalab.core import PartialAssignment, ProblemSpec, ValueTable, expand_children, value_of
 from ucalab.exact import solve_exact
 from ucalab.neural import init_model
@@ -164,3 +170,65 @@ def test_serial_determinism():
         b = best_of_n(table, est, 40, [10, 40], np.random.default_rng(24))
         assert a.checkpoints == b.checkpoints
         assert a.best_assignment == b.best_assignment
+
+
+@st.composite
+def rollout_runs(draw):
+    """n <= 6, m <= 4, each estimator, and integer (tie-heavy), additive or
+    normal tables; n_evals spans several blocks of the smaller block sizes."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["integer", "additive", "normal"]))
+    if shape == "integer":
+        table = ValueTable(n, m, rng.integers(0, 3, size=(1 << n, m)).astype(np.float64))
+    elif shape == "additive":
+        table = additive_table(n, m, rng)[0]
+    else:
+        table = ValueTable(n, m, rng.normal(size=(1 << n, m)))
+    kind = draw(st.sampled_from(search.ESTIMATOR_KINDS))
+    model = None
+    if kind == "neural":
+        model = init_model(n, m, rng)
+        model.value_norm = (float(rng.normal()), float(rng.uniform(0.5, 2.0)))
+        model.target_norm = (float(rng.normal()), float(rng.uniform(0.5, 2.0)))
+    n_evals = draw(st.integers(1, 12))
+    checkpoints = sorted(draw(st.sets(st.integers(1, n_evals))))
+    return table, kind, model, n_evals, checkpoints, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("block", [1, 3, search.ROLLOUT_BLOCK])
+@settings(max_examples=60, deadline=None)
+@given(rollout_runs())
+def test_best_of_n_matches_serial_reference_bitwise(block, run):
+    table, kind, model, n_evals, checkpoints, seed = run
+    estimator = Estimator(kind, model)
+    expected_rng = np.random.default_rng(seed)
+    best_value, best_labels, recorded = reference_best_of_n(table, kind, model, n_evals, checkpoints, expected_rng)
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "ROLLOUT_BLOCK", block)
+        result = best_of_n(table, estimator, n_evals, checkpoints, rng)
+    assert result.best_value == best_value
+    assert result.best_assignment.labels == best_labels
+    assert result.checkpoints == recorded
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    first = reference_best_of_n(table, kind, model, 1, [], np.random.default_rng(seed))
+    assert greedy_rollout(table, estimator, np.random.default_rng(seed)).labels == first[1]
+
+
+def traced_peak(table, estimator, n_evals):
+    tracemalloc.start()
+    try:
+        best_of_n(table, estimator, n_evals, [n_evals], np.random.default_rng(25))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_best_of_n_memory_does_not_grow_with_n_evals():
+    table = npd_table(10, 4, 26)
+    estimator = Estimator.neural(init_model(10, 4, np.random.default_rng(27)))
+    one_block = traced_peak(table, estimator, search.ROLLOUT_BLOCK)
+    assert traced_peak(table, estimator, 8 * search.ROLLOUT_BLOCK) < 1.5 * one_block
