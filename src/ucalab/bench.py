@@ -25,14 +25,17 @@ MC_BATCH = 1 << 20  # Monte Carlo samples drawn per vectorized batch
 
 
 def _sampled_values(table: ValueTable, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Values of `count` uniform complete assignments, vectorized."""
+    """Values of `count` uniform complete assignments, vectorized: the flat
+    table indices mask·m + t of every bundle, one 1-D add per element, then
+    one `take`."""
     n, m = table.n, table.m
     labels = rng.integers(0, m, size=(count, n), dtype=np.int8)
-    masks = np.zeros((count, m), dtype=np.int64)
-    rows = np.arange(count)
+    index = np.tile(np.arange(m), count)
+    rows = np.arange(0, count * m, m)
     for j in range(n):
-        masks[rows, labels[:, j]] |= 1 << j
-    return table.values[masks, np.arange(m)].sum(axis=1)
+        index[rows + labels[:, j]] += m << j
+    del labels, rows  # freed before the gather, where a batch's memory peaks
+    return table.values.reshape(-1).take(index.reshape(count, m)).sum(axis=1)
 
 
 def _value_batches(table: ValueTable, samples: int, rng: np.random.Generator):

@@ -54,20 +54,21 @@ SPLIT_FRACTION = 0.1  # default share of each dataset held out for testing
 def _list_parser(kind, names=None, unique=None):
     """A parser of comma-separated values, skipping blank entries and
     refusing an empty list, any value outside `names` when given and, when
-    `unique` names what the values are, any value listed twice."""
+    `unique` names what the values are, any value listed twice. Refusals
+    are ArgumentTypeErrors, whose message argparse shows as it is."""
 
     def parse(text: str) -> tuple:
         values = tuple(kind(part.strip()) for part in text.split(",") if part.strip())
         if not values:
-            raise ValueError("must list at least one value")
+            raise argparse.ArgumentTypeError("must list at least one value")
         if names is not None:
             unknown = [value for value in values if value not in names]
             if unknown:
-                raise ValueError(f"unknown {unique}: {', '.join(unknown)}")
+                raise argparse.ArgumentTypeError(f"unknown {unique}: {', '.join(unknown)}")
         if unique is not None:
             repeated = sorted({value for i, value in enumerate(values) if value in values[:i]})
             if repeated:
-                raise ValueError(f"repeated {unique}: {', '.join(map(str, repeated))}")
+                raise argparse.ArgumentTypeError(f"repeated {unique}: {', '.join(map(str, repeated))}")
         return values
 
     parse.__name__ = f"{kind.__name__}_list"  # argparse names the type in its errors
@@ -240,7 +241,7 @@ def _parse_config(config: dict[str, str], schema: dict) -> argparse.Namespace:
     for key, text in config.items():
         try:
             values[key] = schema[key][0](text)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"config key {key}: {exc}") from exc
     return argparse.Namespace(**values)
 

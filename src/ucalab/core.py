@@ -106,7 +106,8 @@ class ValueTable:
         self.n = n
         self.m = m
         self.seed = seed
-        self.values = arr
+        # C order, so that `values.reshape(-1)` is always a view
+        self.values = np.ascontiguousarray(arr)
         self.values.setflags(write=False)
 
     def save(self, path: str | Path) -> None:
@@ -158,6 +159,9 @@ class PartialAssignment:
     def from_labels(labels) -> "PartialAssignment":
         if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
             return PartialAssignment(tuple(labels.tolist()))
+        labels = tuple(labels)
+        if not all(isinstance(x, (int, np.integer)) or float(x).is_integer() for x in labels):
+            raise ValueError(f"labels must be integers, got {', '.join(map(str, labels))}")
         return PartialAssignment(tuple(int(x) for x in labels))
 
     @property
@@ -167,9 +171,6 @@ class PartialAssignment:
     @property
     def is_complete(self) -> bool:
         return self.assigned_mask == (1 << len(self.labels)) - 1
-
-    def is_assigned(self, element: int) -> bool:
-        return self.labels[element] != UNASSIGNED
 
     def bundle_masks(self, m: int) -> np.ndarray:
         """Per-alternative bundle bitmasks as an int64 array of length m."""
@@ -197,7 +198,7 @@ def expand_children(assignment: PartialAssignment, element: int, m: int) -> list
     alternative order."""
     if not 0 <= element < assignment.n:
         raise ValueError(f"element {element} out of range")
-    if assignment.is_assigned(element):
+    if assignment.labels[element] != UNASSIGNED:
         raise ValueError(f"element {element} is already assigned")
     labels = assignment.labels
     return [PartialAssignment(labels[:element] + (t,) + labels[element + 1 :]) for t in range(m)]

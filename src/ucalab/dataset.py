@@ -54,9 +54,8 @@ def sample_partial_assignment(spec: ProblemSpec, i: int, rng: np.random.Generato
         raise ValueError(f"assigned count {i} out of range for n={spec.n}")
     subset = rng.choice(spec.n, size=i, replace=False)
     alternatives = rng.integers(0, spec.m, size=i)
-    labels = [UNASSIGNED] * spec.n
-    for e, t in zip(subset, alternatives):
-        labels[int(e)] = int(t)
+    labels = np.full(spec.n, UNASSIGNED)
+    labels[subset] = alternatives
     return PartialAssignment.from_labels(labels)
 
 

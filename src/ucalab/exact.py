@@ -7,18 +7,20 @@ nodes of the equivalent depth-first search tree (`dfs_node_count`), and
 the budget check happens before any work.
 
 Completions are enumerated flat, in lexicographic label order, as blocks
-of bundle masks: the trailing free elements form one precomputed inner
-block and each prefix of the leading ones is ORed into it. Each value is
-produced by gathering the m bundle entries of a complete assignment and
-reducing along the row, which keeps results bit-identical to the flat
-enumeration oracles.
+of flat table indices: entry (mask, t) is element mask·m + t of
+`values.reshape(-1)`, and putting element e in bundle t adds m·2^e to it.
+Each block is one broadcast add of leading-element prefixes to an inner
+block of the trailing elements, one `take`, and a row sum bitwise equal to
+the `.sum(axis=1)` of the flat-enumeration oracles.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-from .core import PartialAssignment, ValueTable
+from .core import UNASSIGNED, PartialAssignment, ValueTable
 
 DEFAULT_NODE_BUDGET = 10**8
 BLOCK_COMPLETIONS = 4096
@@ -39,39 +41,58 @@ def dfs_node_count(m: int, depth: int) -> int:
     return (m ** (depth + 1) - 1) // (m - 1)
 
 
-def _completion_masks(base: np.ndarray, bits: list[int]) -> np.ndarray:
-    """Bundle masks of every completion of `base`, one row each, in
-    lexicographic label order (the element of bits[0] varies slowest)."""
-    m = len(base)
-    masks = base[None, :]
-    for bit in bits:
-        masks = (masks[:, None, :] | np.eye(m, dtype=np.int64) * bit).reshape(-1, m)
-    return masks
+@cache
+def _bundle_steps(m: int, bit: int) -> np.ndarray:
+    """The (m, m, 1) flat-index steps of putting element `bit` in each bundle,
+    read-only, since every caller shares them."""
+    steps = (np.eye(m, dtype=np.int64) * (m * bit))[:, :, None]
+    steps.setflags(write=False)
+    return steps
+
+
+def _flat_indices(start: np.ndarray, bits: list[int]) -> np.ndarray:
+    """Flat indices of every completion of `start`, one column each, in
+    lexicographic label order (bits[0] slowest). Each bit is added as the new
+    slowest digit, so numpy's inner loop runs along the long axis."""
+    cols = start[:, None]
+    for bit in reversed(bits):
+        cols = (_bundle_steps(len(start), bit) + cols[:, None, :]).reshape(len(start), -1)
+    return cols
+
+
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """Column totals of an (m, R) block, bitwise `.sum(axis=1)` of its C-ordered
+    transpose: numpy adds fewer than 8 entries in order from 0.0, as the sum
+    over axis 0 does, and more pairwise, which needs the C-ordered copy."""
+    if len(block) < 8:
+        return block.sum(axis=0)
+    return np.ascontiguousarray(block.T).sum(axis=1)
 
 
 def _best_completion(values: np.ndarray, base: np.ndarray, bits: list[int], node_budget: int) -> tuple[float, int]:
     """Best completion value and the lexicographic index of its first occurrence,
     refused before any work when the search tree has more than node_budget nodes.
 
-    The trailing free elements form an inner block of at most
-    BLOCK_COMPLETIONS rows that each prefix of the leading ones is ORed
-    into, so memory stays bounded by the block whatever the depth.
+    The trailing free elements (half, or as many as fit BLOCK_COMPLETIONS)
+    form the inner block, so memory stays bounded whatever the depth.
     """
-    m = len(base)
-    needed = dfs_node_count(m, len(bits))
+    m, u = len(base), len(bits)
+    needed = dfs_node_count(m, u)
     if needed > node_budget:
-        raise BudgetExceededError(needed, node_budget, f"depth {len(bits)}, branching {m}")
-    split = len(bits)
-    while split and m ** (len(bits) - split + 1) <= BLOCK_COMPLETIONS:
-        split -= 1
-    inner = _completion_masks(np.zeros(m, dtype=np.int64), bits[split:])
-    cols = np.arange(m)
+        raise BudgetExceededError(needed, node_budget, f"depth {u}, branching {m}")
+    split = u // 2
+    while m ** (u - split) > BLOCK_COMPLETIONS:
+        split += 1
+    outer = _flat_indices(base * m + np.arange(m), bits[:split])
+    inner = _flat_indices(np.zeros(m, dtype=np.int64), bits[split:])
+    per = BLOCK_COMPLETIONS // inner.shape[1]
     best, where = -np.inf, 0
-    for i, prefix in enumerate(_completion_masks(base, bits[:split])):
-        leaf = values[inner | prefix, cols].sum(axis=1)
+    for s in range(0, outer.shape[1], per):
+        block = (outer[:, s : s + per, None] + inner[:, None, :]).reshape(m, -1)
+        leaf = _row_sums(values.reshape(-1).take(block))
         j = int(leaf.argmax())
-        if i == 0 or leaf[j] > best:
-            best, where = leaf[j], i * len(inner) + j
+        if s == 0 or leaf[j] > best:
+            best, where = leaf[j], s * inner.shape[1] + j
     return float(best), where
 
 
@@ -83,7 +104,7 @@ def exact_value_to_go(
     """Best achievable total value over all completions of `assignment`."""
     if assignment.n != table.n:
         raise ValueError(f"assignment has {assignment.n} elements, table expects {table.n}")
-    bits = [1 << e for e in range(table.n) if not assignment.is_assigned(e)]
+    bits = [1 << e for e, lab in enumerate(assignment.labels) if lab == UNASSIGNED]
     return _best_completion(table.values, assignment.bundle_masks(table.m), bits, node_budget)[0]
 
 

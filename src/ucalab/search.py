@@ -83,12 +83,13 @@ def _lockstep_labels(table: ValueTable, estimator: Estimator, count: int, rng: n
             draws[r] = rng.random((n, m))
     rows, cols = np.arange(count), np.arange(m)
     labels = np.full((count, n), UNASSIGNED, dtype=np.int64)
-    masks = np.zeros((count, m), dtype=np.int64)
+    # index[r, t] is rollout r's bundle t entry in the flat table: mask·m + t
+    flat, index = values.reshape(-1), np.tile(cols, (count, 1))
     current = np.full(count, values[0].sum())
     for step in range(n):
         e = orders[:, step]
         bit = 1 << e
-        child_values = current[:, None] - values[masks, cols] + values[masks | bit[:, None], cols]
+        child_values = current[:, None] - flat.take(index) + flat.take(index + (bit * m)[:, None])
         if estimator.kind == "current":
             scores = child_values
         elif estimator.kind == "random":
@@ -101,7 +102,7 @@ def _lockstep_labels(table: ValueTable, estimator: Estimator, count: int, rng: n
             batch[rows[:, None], cols, slots] = 0.0
         pick = scores.argmax(axis=1)
         labels[rows, e] = pick
-        masks[rows, pick] |= bit
+        index[rows, pick] += bit * m
         current = child_values[rows, pick]
         if estimator.kind == "neural":
             batch[rows, :, pick * n + e] = 1.0

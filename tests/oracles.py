@@ -7,7 +7,8 @@ positive-value probability is computed in closed form over bundle-size
 profiles, without sampling and without `ucalab.bench`. Network training is
 written out per weight and bias array, without a flat parameter vector and
 without `ucalab.neural`. Best-of-N rollouts are run one rollout and one
-element at a time, without `ucalab.search`.
+element at a time, without `ucalab.search`, and Monte Carlo samples one
+sample and one element at a time, without `ucalab.bench`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,22 @@ def all_completion_values(table: ValueTable, assignment: PartialAssignment) -> n
         for pos, j in enumerate(free):
             masks[rows, grids[:, pos]] |= 1 << j
     return table.values[masks, np.arange(m)].sum(axis=1)
+
+
+def reference_sampled_values(table: ValueTable, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Values of `count` uniform complete assignments, one assignment and one
+    element at a time: the same (count, n) int8 label draw, then each
+    assignment's bundle masks built element by element and its m bundle
+    entries gathered and summed."""
+    n, m = table.n, table.m
+    labels = rng.integers(0, m, size=(count, n), dtype=np.int8)
+    out = np.empty(count)
+    for r in range(count):
+        masks = [0] * m
+        for j in range(n):
+            masks[labels[r, j]] |= 1 << j
+        out[r] = table.values[masks, np.arange(m)].sum()
+    return out
 
 
 def brute_force_best(table: ValueTable, assignment: PartialAssignment | None = None) -> float:

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import all_completion_values
+from oracles import all_completion_values, reference_sampled_values
 
 from ucalab import bench
 from ucalab.bench import (
@@ -72,6 +74,31 @@ def test_histogram_degenerate_single_bin():
     assert len(occupied) == 1
     assert counts[occupied[0]] == 200
     assert edges[occupied[0]] <= 2.5 <= edges[occupied[0] + 1]
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (5, 3), (9, 7), (12, 10), (8, 12)])
+def test_sampled_values_match_per_element_reference_bitwise(n, m):
+    table = npd_table(n, m, n * m)
+    got = bench._sampled_values(table, 1500, np.random.default_rng(m))
+    expected = reference_sampled_values(table, 1500, np.random.default_rng(m))
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_sampled_values_peak_memory_is_no_higher_than_before():
+    # before, a batch held its int8 labels, (count, m) int64 masks, a row
+    # index, the (count, m) gathered entries and the sums at once:
+    # count * (n + 16m + 16) bytes. The labels and the row offsets are now
+    # freed before the gather, so the peak is about count * (16m + 8).
+    n, m, count = 12, 10, 50_000
+    table = npd_table(n, m, 3)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        bench._sampled_values(table, count, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= count * (n + 16 * m + 16)
 
 
 def test_npd_sample_mean_is_m_mu():

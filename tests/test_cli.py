@@ -392,17 +392,26 @@ def test_train_split_outside_unit_interval_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "m.ucam").exists()
 
 
-@pytest.mark.parametrize("grid", [["--lr-grid", "1e-3,1e-3"], ["--batch-grid", "8,4,8"]])
+@pytest.mark.parametrize("grid", [["--lr-grid", "1e-3,1e-3", "0.001"], ["--batch-grid", "8,4,8", "8"]])
 def test_train_refuses_a_repeated_grid_value(tmp_path, capsys, grid):
     # a repeated value used to train the same grid cell again
     data_path = label_small_dataset(tmp_path)
     capsys.readouterr()
-    flags = {"--lr-grid": "1e-3", "--batch-grid": "8", "--epochs": "1"} | dict([grid])
+    flag, text, repeated = grid
+    flags = {"--lr-grid": "1e-3", "--batch-grid": "8", "--epochs": "1", flag: text}
     code = run_cli(["train", "--data", str(data_path), "--out", str(tmp_path / "m.ucam"),
                     *(part for item in flags.items() for part in item)])
     assert code == 2
-    assert f"argument {grid[0]}: invalid" in capsys.readouterr().err
+    assert f"argument {flag}: repeated grid value: {repeated}\n" in capsys.readouterr().err
     assert not (tmp_path / "m.ucam").exists()
+
+
+def test_list_flag_errors_print_their_reason(capsys):
+    # argparse used to replace a list parser's reason with "invalid int_list value"
+    code = run_cli(["rollout", "--table", "t.ucav", "--estimator", "random", "--evals", "2", "--checkpoints", " , "])
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "ucalab rollout: error: argument --checkpoints: must list at least one value"
 
 
 def test_train_diverged_prints_only_the_error_line(tmp_path):

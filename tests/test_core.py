@@ -50,6 +50,15 @@ def test_value_table_validation():
         table.values[0, 0] = 1.0
 
 
+def test_value_table_stores_a_c_ordered_frozen_array():
+    # the kernels read values.reshape(-1), which must be a view, never a copy
+    values = np.asfortranarray(np.arange(24, dtype=float).reshape(8, 3))
+    table = ValueTable(3, 3, values)
+    assert table.values.flags.c_contiguous and not table.values.flags.writeable
+    assert np.array_equal(table.values, values)
+    assert np.shares_memory(table.values.reshape(-1), table.values)
+
+
 def test_value_of_all_unassigned_sums_empty_bundles():
     table = ValueTable(2, 3, np.arange(12, dtype=float).reshape(4, 3))
     empty = PartialAssignment.empty(2)
@@ -278,6 +287,19 @@ def test_from_labels_mask_matches_labels(labels):
     for j, lab in enumerate(labels):
         assert ((s.assigned_mask >> j) & 1) == (lab != UNASSIGNED)
     assert s.assigned_mask.bit_count() == sum(1 for lab in labels if lab != UNASSIGNED)
+
+
+@pytest.mark.parametrize("labels", [[1.5, 0.9, -0.5], np.array([1.5, 0.9, -0.5]), [0, float("nan")], [float("inf")]])
+def test_from_labels_refuses_non_integral_labels(labels):
+    # these used to be truncated to (1, 0, 0)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        PartialAssignment.from_labels(labels)
+
+
+def test_from_labels_accepts_integral_labels_of_any_type():
+    expected = (1, UNASSIGNED, 0)
+    for labels in ([1, -1, 0], np.array([1, -1, 0], dtype=np.int8), np.array([1.0, -1.0, 0.0]), (np.int64(1), -1, 0)):
+        assert PartialAssignment.from_labels(labels).labels == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,12 @@
-"""Differential tests of the blocked flat-enumeration exact kernel against
-the independent oracle, plus a bound on its working memory."""
+"""Differential tests of the blocked flat-index exact kernel against the
+independent oracle, of its row sums against numpy's, plus a bound on its
+working memory."""
 
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,15 +14,16 @@ from oracles import all_completion_values
 
 from ucalab import exact
 from ucalab.core import PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable
-from ucalab.exact import exact_value_to_go, solve_exact
+from ucalab.exact import _row_sums, exact_value_to_go, solve_exact
 from ucalab.valuegen import NpdParams, generate_npd
 
 
 @st.composite
 def tables(draw):
-    """Tables with n <= 7, m <= 4; small-integer tables make exact ties common."""
-    n = draw(st.integers(1, 7))
-    m = draw(st.integers(1, 4))
+    """Tables with m <= 9 and n <= 7, n small enough that m^n <= 4^7; m >= 8
+    takes the pairwise row sum. Small-integer tables make exact ties common."""
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(1, max(k for k in range(1, 8) if m**k <= 4**7)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         values = rng.integers(0, 3, size=(1 << n, m)).astype(np.float64)
@@ -53,6 +56,21 @@ def test_value_to_go_matches_oracle_bitwise(table, block, data):
     expected = all_completion_values(table, assignment).max()
     with mock.patch.object(exact, "BLOCK_COMPLETIONS", block):
         assert exact_value_to_go(assignment, table) == expected
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_row_sums_equal_numpy_row_sums_bitwise(m):
+    # numpy adds a row of fewer than 8 entries in order from 0.0, which the
+    # kernel's sum over axis 0 repeats; signed zeros and wide magnitudes
+    # make any other order or start show
+    rng = np.random.default_rng(m)
+    for rows in (1, 5, 300, 5000):
+        leaf = rng.normal(size=(rows, m)) * 10.0 ** rng.integers(-12, 12, size=(rows, m))
+        leaf[: rows // 4] = -0.0
+        leaf[rows // 4 : rows // 2, 0] = -0.0
+        expected = leaf.sum(axis=1)
+        got = _row_sums(np.ascontiguousarray(leaf.T))
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_solve_exact_memory_stays_within_one_block():

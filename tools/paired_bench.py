@@ -1,0 +1,83 @@
+"""Paired benchmark: run perfbench/run.py alternately from two checkouts.
+
+    python3 tools/paired_bench.py BASE CHANGE --workload exact-deep --pairs 10 --seed 1 --seconds 30 --trace 0
+
+BASE and CHANGE are repository checkouts (for example `git archive` of the
+parent commit, and the working tree). Pair i runs both on seed --seed + i,
+one run at a time; the order alternates between pairs, so a slow or fast
+phase of the machine lands on both sides. For each metric the script prints
+the median and interquartile range (IQR) of each side, the relative change of
+the medians, and how many pairs the change won, in the direction that
+BENCHMARK.json gives the metric (lower is better when it names none). Exits 1
+when any run fails or reports failed checks.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The metrics of one perfbench run, refused when it fails or a check fails."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: run.py exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if result["failed"]:
+        raise RuntimeError(f"{checkout}: {result['failed']} of {result['attempted']} checks failed")
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    sides = {"base": args.base, "change": args.change}
+    runs = {side: [] for side in sides}
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            try:
+                runs[side].append(run_once(sides[side], args.workload, args.seed + i, args.seconds, args.trace))
+            except RuntimeError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+        print(f"pair {i + 1}/{args.pairs} done (seed {args.seed + i})", file=sys.stderr)
+
+    print(f"workload={args.workload} pairs={args.pairs} seeds={args.seed}..{args.seed + args.pairs - 1} "
+          f"seconds={args.seconds} trace={args.trace}")
+    print(f"{'metric':34} {'base median [IQR]':>26} {'change median [IQR]':>26} {'change':>8} {'won':>6}")
+    for name in runs["base"][0]:
+        base = [r[name] for r in runs["base"]]
+        change = [r[name] for r in runs["change"]]
+        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+        delta = f"{(cm - bm) / abs(bm):+.1%}" if bm else "n/a"
+        print(f"{name:34} {bm:>12.6g} [{b3 - b1:>10.3g}] {cm:>12.6g} [{c3 - c1:>10.3g}] {delta:>8} "
+              f"{won:>3}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
