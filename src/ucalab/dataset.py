@@ -47,16 +47,23 @@ class LabeledPair:
     target: float
 
 
+def sample_partial_labels(n: int, m: int, levels, per_level: int, rng: np.random.Generator) -> np.ndarray:
+    """int16 labels of per_level uniform partial assignments per unassigned count
+    u in `levels`, in (level, draw index) order, drawn by two RNG calls: the
+    entries below n-u of a row-wise permutation pick the labeled elements."""
+    if not all(0 <= u <= n for u in levels):
+        raise ValueError(f"unassigned counts {list(levels)} must lie in 0..{n}")
+    free = np.repeat(np.array(levels, dtype=np.int64), per_level)
+    ranks = rng.permuted(np.broadcast_to(np.arange(n, dtype=np.int8), (len(free), n)), axis=1)
+    return np.where(ranks < (n - free)[:, None], rng.integers(0, m, ranks.shape, dtype=np.int16), UNASSIGNED)
+
+
 def sample_partial_assignment(spec: ProblemSpec, i: int, rng: np.random.Generator) -> PartialAssignment:
-    """Uniform partial assignment with exactly i elements labeled: a uniform
-    i-subset of the elements, each labeled independently and uniformly."""
+    """Uniform partial assignment with exactly i elements labeled: the
+    one-record case of `sample_partial_labels`."""
     if not 0 <= i <= spec.n:
         raise ValueError(f"assigned count {i} out of range for n={spec.n}")
-    subset = rng.choice(spec.n, size=i, replace=False)
-    alternatives = rng.integers(0, spec.m, size=i)
-    labels = np.full(spec.n, UNASSIGNED)
-    labels[subset] = alternatives
-    return PartialAssignment.from_labels(labels)
+    return PartialAssignment.from_labels(sample_partial_labels(spec.n, spec.m, [spec.n - i], 1, rng)[0])
 
 
 def check_levels(n: int, m: int, levels, per_level: int, node_budget: int) -> None:
@@ -82,15 +89,15 @@ def label_levels(
 
     Every level is checked by `check_levels` before the first draw.
     """
+    levels = list(levels)
     check_levels(table.n, table.m, levels, per_level, node_budget)
-    spec = ProblemSpec(table.n, table.m, table.seed)
     pairs: list[LabeledPair] = []
-    for unassigned in levels:
-        for _ in range(per_level):
-            assignment = sample_partial_assignment(spec, table.n - unassigned, rng)
-            current = value_of(assignment, table)
-            target = exact_value_to_go(assignment, table, node_budget=node_budget)
-            pairs.append(LabeledPair(assignment, current, target))
+    # one tuple per record from the label columns; the draws are freed first
+    for labels in zip(*sample_partial_labels(table.n, table.m, levels, per_level, rng).T.tolist()):
+        assignment = PartialAssignment(labels)
+        current = value_of(assignment, table)
+        target = exact_value_to_go(assignment, table, node_budget=node_budget)
+        pairs.append(LabeledPair(assignment, current, target))
     return pairs
 
 

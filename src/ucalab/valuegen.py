@@ -7,7 +7,8 @@ bonus at and above it, so heuristics that grow bundles one element at a
 time walk into arbitrarily bad local optima.
 
 Entries are drawn from a single seeded stream in mask-major, alternative-
-minor order, so a (spec, params) pair always reproduces the same table.
+minor order, so a (spec, params) pair always reproduces the same table. The
+draw is scaled and shifted in place, so a generator holds the table once.
 """
 
 from __future__ import annotations
@@ -63,16 +64,16 @@ def trap_mean(bundle_size: int, p: TrapParams) -> float:
 
 def generate_npd(spec: ProblemSpec, p: NpdParams) -> ValueTable:
     """Dense table with i.i.d. N(mu, sigma^2) entries, seeded by `spec.seed`."""
-    rng = np.random.default_rng(spec.seed)
-    values = p.mu + p.sigma * rng.standard_normal((1 << spec.n, spec.m))
+    values = np.random.default_rng(spec.seed).standard_normal((1 << spec.n, spec.m))
+    values *= p.sigma
+    values += p.mu
     return ValueTable(spec.n, spec.m, values, seed=spec.seed)
 
 
 def generate_trap(spec: ProblemSpec, p: TrapParams) -> ValueTable:
     """Dense table with entry (mask, t) ~ N(trap_mean(popcount(mask)), sigma^2)."""
-    rng = np.random.default_rng(spec.seed)
-    sizes = np.bitwise_count(np.arange(1 << spec.n, dtype=np.uint64)).astype(np.intp)
+    values = np.random.default_rng(spec.seed).standard_normal((1 << spec.n, spec.m))
+    values *= p.sigma
     means = np.array([trap_mean(s, p) for s in range(spec.n + 1)])
-    loc = means[sizes]
-    values = loc[:, None] + p.sigma * rng.standard_normal((1 << spec.n, spec.m))
+    values += means[np.bitwise_count(np.arange(1 << spec.n, dtype=np.uint64))][:, None]
     return ValueTable(spec.n, spec.m, values, seed=spec.seed)

@@ -15,7 +15,7 @@ from ucalab.bench import (
     write_histogram,
     write_prediction_report,
 )
-from ucalab.core import ProblemSpec, ValueTable, value_of
+from ucalab.core import PartialAssignment, ProblemSpec, ValueTable, value_of
 from ucalab.exact import BudgetExceededError, exact_value_to_go, solve_exact
 from ucalab.search import Estimator
 from ucalab.valuegen import NpdParams, generate_npd
@@ -136,14 +136,12 @@ def test_prediction_report_current_value_stub_statistics():
     levels, samples = [1, 2], 40
     report = prediction_error_report(stub, table, levels, samples, np.random.default_rng(11))
 
-    from ucalab.dataset import sample_partial_assignment
+    from ucalab.dataset import sample_partial_labels
 
-    rng = np.random.default_rng(11)
-    spec = ProblemSpec(table.n, table.m, table.seed)
-    for row, level in zip(report.rows, levels):
+    rows = sample_partial_labels(table.n, table.m, levels, samples, np.random.default_rng(11))
+    for row, labels in zip(report.rows, rows.reshape(len(levels), samples, table.n)):
         errors = []
-        for _ in range(samples):
-            s = sample_partial_assignment(spec, table.n - level, rng)
+        for s in map(PartialAssignment.from_labels, labels):
             true = float(all_completion_values(table, s).max())
             errors.append(true - value_of(s, table))
         assert row.mean_error == pytest.approx(float(np.mean(errors)), rel=1e-12)

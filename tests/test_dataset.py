@@ -1,4 +1,5 @@
 import math
+import statistics
 import struct
 from collections import Counter
 
@@ -14,8 +15,10 @@ from ucalab.dataset import (
     DatasetConfig,
     LabeledPair,
     build_dataset,
+    label_levels,
     load_dataset,
     sample_partial_assignment,
+    sample_partial_labels,
     save_dataset,
     split_dataset,
 )
@@ -64,6 +67,58 @@ def test_sample_uniform_over_subsets_and_labelings():
     assert len(labeling_counts) == 8
     for count in labeling_counts.values():
         assert abs(count / per_subset - q) < 3 * sigma_q
+
+
+def test_batched_sampler_is_uniform_at_each_level():
+    # every (subset, labeling) outcome of a level is equally likely; the
+    # band is the binomial sd times the normal quantile that keeps the chance
+    # of any of the cells falsely failing below 1e-6
+    n, m, per_level = 6, 2, 100_000
+    levels = list(range(n + 1))
+    rows = sample_partial_labels(n, m, levels, per_level, np.random.default_rng(42))
+    assert rows.shape == (len(levels) * per_level, n)
+    outcomes = {u: math.comb(n, n - u) * m ** (n - u) for u in levels}
+    z = statistics.NormalDist().inv_cdf(1 - 1e-6 / (2 * sum(outcomes.values())))
+    for u, block in zip(levels, rows.reshape(len(levels), per_level, n)):
+        assert ((block != UNASSIGNED).sum(axis=1) == n - u).all()
+        assert ((block >= UNASSIGNED) & (block < m)).all()
+        counts = Counter(map(bytes, block.astype(np.int8)))
+        assert len(counts) == outcomes[u]
+        p = 1.0 / outcomes[u]
+        sigma = math.sqrt(p * (1 - p) / per_level)
+        for count in counts.values():
+            assert abs(count / per_level - p) <= z * sigma
+
+
+def test_sample_partial_assignment_is_the_one_record_sampler():
+    spec = ProblemSpec(7, 3, 0)
+    for i in range(8):
+        one = sample_partial_assignment(spec, i, np.random.default_rng(i))
+        row = sample_partial_labels(7, 3, [7 - i], 1, np.random.default_rng(i))[0]
+        assert one.labels == tuple(row.tolist())
+
+
+def test_label_levels_records_are_the_sampler_rows_with_exact_labels():
+    table = npd_table(7, 3, 21)
+    levels, per_level = [3, 1, 2], 25
+    rows = sample_partial_labels(7, 3, levels, per_level, np.random.default_rng(22))
+    pairs = label_levels(table, levels, per_level, np.random.default_rng(22), 10**6)
+    assert [pair.assignment.labels for pair in pairs] == [tuple(row) for row in rows.tolist()]
+    for pair in pairs:
+        assert pair.current_value == value_of(pair.assignment, table)
+        assert pair.target == float(all_completion_values(table, pair.assignment).max())
+
+
+def test_label_levels_reads_a_one_shot_iterator_of_levels():
+    table = npd_table(6, 2, 23)
+    once = label_levels(table, iter([1, 2]), 5, np.random.default_rng(24), 10**6)
+    assert once == label_levels(table, range(1, 3), 5, np.random.default_rng(24), 10**6)
+    assert len(once) == 10
+
+
+def test_batched_sampler_refuses_a_level_out_of_range():
+    with pytest.raises(ValueError, match="must lie in 0..6"):
+        sample_partial_labels(6, 2, [1, 7], 3, np.random.default_rng(0))
 
 
 def test_build_dataset_level_histogram():

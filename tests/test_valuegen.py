@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,3 +144,37 @@ def test_params_validation():
 def test_params_refuse_non_finite_values(params, field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         params(**{field: value})
+
+
+def expression_npd(spec, p):
+    return p.mu + p.sigma * np.random.default_rng(spec.seed).standard_normal((1 << spec.n, spec.m))
+
+
+def expression_trap(spec, p):
+    sizes = np.bitwise_count(np.arange(1 << spec.n, dtype=np.uint64)).astype(np.intp)
+    means = np.array([reference_trap_mean(s, p.delta, p.tau_threshold, p.epsilon) for s in range(spec.n + 1)])
+    return means[sizes][:, None] + p.sigma * np.random.default_rng(spec.seed).standard_normal((1 << spec.n, spec.m))
+
+
+GENERATORS = [
+    (generate_npd, expression_npd, NpdParams(mu=1.3, sigma=0.7)),
+    (generate_trap, expression_trap, TrapParams(sigma=0.3, delta=0.2, tau_threshold=4.0, epsilon=0.1)),
+]
+
+
+@pytest.mark.parametrize("generate, expression, params", GENERATORS, ids=["npd", "trap"])
+@pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (5, 3, 1), (10, 4, 7), (12, 9, 2)])
+def test_in_place_tables_equal_the_expression_form_bitwise(generate, expression, params, n, m, seed):
+    spec = ProblemSpec(n, m, seed)
+    assert generate(spec, params).values.tobytes() == expression(spec, params).tobytes()
+
+
+@pytest.mark.parametrize("generate, expression, params", GENERATORS, ids=["npd", "trap"])
+def test_generators_peak_below_one_and_a_half_tables(generate, expression, params):
+    tracemalloc.start()
+    try:
+        table = generate(ProblemSpec(16, 8, 3), params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table.values.nbytes

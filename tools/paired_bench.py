@@ -1,19 +1,24 @@
 """Paired benchmark: run perfbench/run.py alternately from two checkouts.
 
-    python3 tools/paired_bench.py BASE CHANGE --workload exact-deep --pairs 10 --seed 1 --seconds 30 --trace 0
+    python3 tools/paired_bench.py BASE CHANGE --workload exact-deep --workload pipeline-accept --pairs 10 --seed 1 --seconds 30 --trace 0
 
 BASE and CHANGE are repository checkouts (for example `git archive` of the
-parent commit, and the working tree). Pair i runs both on seed --seed + i,
-one run at a time; the order alternates between pairs, so a slow or fast
-phase of the machine lands on both sides. For each metric the script prints
-the median and interquartile range (IQR) of each side, the relative change of
-the medians, and how many pairs the change won, in the direction that
-BENCHMARK.json gives the metric (lower is better when it names none). Exits 1
-when any run fails or reports failed checks.
+parent commit, and the working tree). For each --workload in turn, pair i
+runs both on seed --seed + i, one run at a time; the order alternates between
+pairs, so a slow or fast phase of the machine lands on both sides. For each
+metric the script prints the median and interquartile range (IQR) of each
+side, the relative change of the medians, and how many pairs the change won,
+in the direction that BENCHMARK.json gives the metric (lower is better when
+it names none), then each side's median round count (a run fits more rounds
+into --seconds the faster it is, and peak_rss_mb grows with them). It ends
+with one line naming every end-to-end metric whose change median is worse
+than the base median by more than its BENCHMARK.json bound. BENCHMARK.json
+is only read. Exits 1 when any run fails or reports failed checks.
 """
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -22,8 +27,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The metrics of one perfbench run, refused when it fails or a check fails."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, int]:
+    """The metrics and round count of one perfbench run, refused when it fails
+    or a check fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -32,18 +38,62 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if result["failed"]:
         raise RuntimeError(f"{checkout}: {result['failed']} of {result['attempted']} checks failed")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    rounds = int(re.search(r"\brounds=(\d+)", proc.stdout)[1])
+    return {name: entry["value"] for name, entry in result["metrics"].items()}, rounds
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
 
 
+def compare(sides: dict, args, workload: str, spec: dict) -> list[str] | None:
+    """Run and print one workload's pairs; returns the end-to-end metrics
+    worse than their bound, or None when a run failed."""
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    runs = {side: [] for side in sides}
+    rounds = {side: [] for side in sides}
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            try:
+                metrics, count = run_once(sides[side], workload, args.seed + i, args.seconds, args.trace)
+            except RuntimeError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return None
+            runs[side].append(metrics)
+            rounds[side].append(count)
+        print(f"{workload}: pair {i + 1}/{args.pairs} done (seed {args.seed + i})", file=sys.stderr)
+
+    print(f"workload={workload} pairs={args.pairs} seeds={args.seed}..{args.seed + args.pairs - 1} "
+          f"seconds={args.seconds} trace={args.trace} "
+          f"rounds base={statistics.median(rounds['base']):g} change={statistics.median(rounds['change']):g}")
+    print(f"{'metric':34} {'base median [IQR]':>26} {'change median [IQR]':>26} {'change':>8} {'won':>6}")
+    medians = {}
+    for name in runs["base"][0]:
+        base = [r[name] for r in runs["base"]]
+        change = [r[name] for r in runs["change"]]
+        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+        medians[name] = (bm, cm)
+        delta = f"{(cm - bm) / abs(bm):+.1%}" if bm else "n/a"
+        print(f"{name:34} {bm:>12.6g} [{b3 - b1:>10.3g}] {cm:>12.6g} [{c3 - c1:>10.3g}] {delta:>8} "
+              f"{won:>3}/{args.pairs}")
+    worse = []
+    for metric in spec["end_to_end"]:
+        if metric["name"] in medians:
+            bm, cm = medians[metric["name"]]
+            sign = -1.0 if metric["better"] == "lower" else 1.0
+            if sign * (cm - bm) < -metric["bound"] * abs(bm):
+                worse.append(f"{workload}:{metric['name']} {(cm - bm) / abs(bm):+.1%} (bound {metric['bound']:.0%})")
+    return worse
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append", help="repeat to run several workloads")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -51,31 +101,15 @@ def main() -> int:
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     sides = {"base": args.base, "change": args.change}
-    runs = {side: [] for side in sides}
-    for i in range(args.pairs):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for side in order:
-            try:
-                runs[side].append(run_once(sides[side], args.workload, args.seed + i, args.seconds, args.trace))
-            except RuntimeError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-        print(f"pair {i + 1}/{args.pairs} done (seed {args.seed + i})", file=sys.stderr)
-
-    print(f"workload={args.workload} pairs={args.pairs} seeds={args.seed}..{args.seed + args.pairs - 1} "
-          f"seconds={args.seconds} trace={args.trace}")
-    print(f"{'metric':34} {'base median [IQR]':>26} {'change median [IQR]':>26} {'change':>8} {'won':>6}")
-    for name in runs["base"][0]:
-        base = [r[name] for r in runs["base"]]
-        change = [r[name] for r in runs["change"]]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
-        won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
-        (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
-        delta = f"{(cm - bm) / abs(bm):+.1%}" if bm else "n/a"
-        print(f"{name:34} {bm:>12.6g} [{b3 - b1:>10.3g}] {cm:>12.6g} [{c3 - c1:>10.3g}] {delta:>8} "
-              f"{won:>3}/{args.pairs}")
+    worse = []
+    for workload in args.workload:
+        found = compare(sides, args, workload, spec)
+        if found is None:
+            return 1
+        worse += found
+        print()
+    print("worse than bound: " + (", ".join(worse) if worse else "none"))
     return 0
 
 
