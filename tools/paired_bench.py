@@ -50,6 +50,7 @@ def compare(sides: dict, args, workload: str, spec: dict) -> list[str] | None:
     """Run and print one workload's pairs; returns the end-to-end metrics
     worse than their bound, or None when a run failed."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs = {side: [] for side in sides}
     rounds = {side: [] for side in sides}
     for i in range(args.pairs):
@@ -68,24 +69,18 @@ def compare(sides: dict, args, workload: str, spec: dict) -> list[str] | None:
           f"seconds={args.seconds} trace={args.trace} "
           f"rounds base={statistics.median(rounds['base']):g} change={statistics.median(rounds['change']):g}")
     print(f"{'metric':34} {'base median [IQR]':>26} {'change median [IQR]':>26} {'change':>8} {'won':>6}")
-    medians = {}
+    worse = []
     for name in runs["base"][0]:
         base = [r[name] for r in runs["base"]]
         change = [r[name] for r in runs["change"]]
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
         won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
-        medians[name] = (bm, cm)
         delta = f"{(cm - bm) / abs(bm):+.1%}" if bm else "n/a"
         print(f"{name:34} {bm:>12.6g} [{b3 - b1:>10.3g}] {cm:>12.6g} [{c3 - c1:>10.3g}] {delta:>8} "
               f"{won:>3}/{args.pairs}")
-    worse = []
-    for metric in spec["end_to_end"]:
-        if metric["name"] in medians:
-            bm, cm = medians[metric["name"]]
-            sign = -1.0 if metric["better"] == "lower" else 1.0
-            if sign * (cm - bm) < -metric["bound"] * abs(bm):
-                worse.append(f"{workload}:{metric['name']} {(cm - bm) / abs(bm):+.1%} (bound {metric['bound']:.0%})")
+        if name in bounds and sign * (cm - bm) < -bounds[name] * abs(bm):
+            worse.append(f"{workload}:{name} {delta} (bound {bounds[name]:.0%})")
     return worse
 
 
