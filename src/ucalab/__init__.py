@@ -29,7 +29,6 @@ from .dataset import (
     LabeledPair,
     build_dataset,
     load_dataset,
-    sample_partial_assignment,
     save_dataset,
     split_dataset,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "loss",
     "predict_value_to_go",
     "prediction_error_report",
-    "sample_partial_assignment",
     "save_dataset",
     "solve_exact",
     "split_dataset",

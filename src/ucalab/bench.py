@@ -27,9 +27,9 @@ MC_BATCH = 1 << 20  # Monte Carlo samples drawn per vectorized batch
 def _sampled_values(table: ValueTable, count: int, rng: np.random.Generator) -> np.ndarray:
     """Values of `count` uniform complete assignments, vectorized: the flat
     table indices mask·m + t of every bundle, one 1-D add per element, then
-    one `take`."""
+    one `take`. Labels are drawn in the smallest unsigned type that holds m - 1."""
     n, m = table.n, table.m
-    labels = rng.integers(0, m, size=(count, n), dtype=np.int8)
+    labels = rng.integers(0, m, size=(count, n), dtype=np.min_scalar_type(m - 1))
     index = np.tile(np.arange(m), count)
     rows = np.arange(0, count * m, m)
     for j in range(n):

@@ -209,7 +209,8 @@ def cmd_rollout(args) -> int:
 
 
 def read_config(path: str | Path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments are ignored."""
+    """Flat key=value lines; blank lines and # comments are ignored, and a
+    repeated key is refused."""
     config: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -222,7 +223,10 @@ def read_config(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        config[key.strip()] = value.strip()
+        key = key.strip()
+        if key in config:
+            raise ConfigError(f"line {lineno}: repeated config key {key}")
+        config[key] = value.strip()
     return config
 
 

@@ -172,16 +172,17 @@ class PartialAssignment:
     def is_complete(self) -> bool:
         return self.assigned_mask == (1 << len(self.labels)) - 1
 
-    def bundle_masks(self, m: int) -> np.ndarray:
-        """Per-alternative bundle bitmasks as an int64 array of length m."""
-        masks = [0] * m
+    def bundle_indices(self, m: int) -> np.ndarray:
+        """Each bundle's flat table index mask·m + t, where `values.reshape(-1)`
+        holds entry (mask, t), as an int64 array of length m."""
+        index = list(range(m))
         for j, lab in enumerate(self.labels):
             if lab == UNASSIGNED:
                 continue
             if lab >= m:
                 raise ValueError(f"label {lab} at element {j} exceeds m={m}")
-            masks[lab] |= 1 << j
-        return np.array(masks, dtype=np.int64)
+            index[lab] += m << j
+        return np.array(index, dtype=np.int64)
 
 
 def value_of(assignment: PartialAssignment, table: ValueTable) -> float:
@@ -189,8 +190,7 @@ def value_of(assignment: PartialAssignment, table: ValueTable) -> float:
     bundle value, empty bundles included (they contribute values[0, t])."""
     if assignment.n != table.n:
         raise ValueError(f"assignment has {assignment.n} elements, table expects {table.n}")
-    masks = assignment.bundle_masks(table.m)
-    return float(table.values[masks, np.arange(table.m)].sum())
+    return float(table.values.reshape(-1).take(assignment.bundle_indices(table.m)).sum())
 
 
 def expand_children(assignment: PartialAssignment, element: int, m: int) -> list[PartialAssignment]:

@@ -58,14 +58,6 @@ def sample_partial_labels(n: int, m: int, levels, per_level: int, rng: np.random
     return np.where(ranks < (n - free)[:, None], rng.integers(0, m, ranks.shape, dtype=np.int16), UNASSIGNED)
 
 
-def sample_partial_assignment(spec: ProblemSpec, i: int, rng: np.random.Generator) -> PartialAssignment:
-    """Uniform partial assignment with exactly i elements labeled: the
-    one-record case of `sample_partial_labels`."""
-    if not 0 <= i <= spec.n:
-        raise ValueError(f"assigned count {i} out of range for n={spec.n}")
-    return PartialAssignment.from_labels(sample_partial_labels(spec.n, spec.m, [spec.n - i], 1, rng)[0])
-
-
 def check_levels(n: int, m: int, levels, per_level: int, node_budget: int) -> None:
     """Refuse a level outside 1..n, and a level whose per_level exact labels
     would exceed the node budget (BudgetExceededError)."""
@@ -144,12 +136,17 @@ def _record_dtype(n: int) -> np.dtype:
     )
 
 
+def _nonfinite(records: np.ndarray) -> np.ndarray:
+    """Indices of the records whose current value or target is not finite."""
+    return np.flatnonzero(~(np.isfinite(records["current_value"]) & np.isfinite(records["target"])))
+
+
 def save_dataset(path: str | Path, pairs: list[LabeledPair], n: int, m: int, kappa: int) -> None:
     """Write records in the UCAD format: header n, m, kappa, count, then
     per record: u32 assigned mask, n label bytes (255 = unassigned), f64
     current value, f64 target. m above 255 is refused, since a label of 255
-    would read back as unassigned; so is a record without n labels or with
-    a label at or above m."""
+    would read back as unassigned; so is a record without n labels, with
+    a label at or above m, or with a non-finite current value or target."""
     if m > _UNASSIGNED_BYTE:
         raise ValueError(f"m={m} exceeds {_UNASSIGNED_BYTE}, the most alternatives a label byte can hold")
     try:
@@ -163,14 +160,18 @@ def save_dataset(path: str | Path, pairs: list[LabeledPair], n: int, m: int, kap
     records["labels"] = np.where(labels == UNASSIGNED, _UNASSIGNED_BYTE, labels)
     records["current_value"] = [pair.current_value for pair in pairs]
     records["target"] = [pair.target for pair in pairs]
+    bad = _nonfinite(records)
+    if len(bad):
+        raise ValueError(f"record {bad[0]}: non-finite current value or target")
     DATASET_FORMAT.write(path, (n, m, kappa, len(pairs)), records)
 
 
 def load_dataset(path: str | Path) -> tuple[list[LabeledPair], int, int, int]:
     """Read a UCAD file; returns (pairs, n, m, kappa).
 
-    The header's n and m, every record's labels and every record's mask
-    are checked on the whole record array before any record is built."""
+    The header's n and m, and every record's labels, mask, current value
+    and target, are checked on the whole record array before any record is
+    built."""
     (n, m, kappa, count), payload = DATASET_FORMAT.read(path)
     if not 1 <= n <= MAX_ELEMENTS or not 1 <= m <= _UNASSIGNED_BYTE:
         raise FormatError(f"{path}: invalid dimensions n={n}, m={m}")
@@ -188,6 +189,9 @@ def load_dataset(path: str | Path) -> tuple[list[LabeledPair], int, int, int]:
     bad = np.flatnonzero(masks != records["mask"])
     if len(bad):
         raise FormatError(f"{path}: record {bad[0]}: mask inconsistent with labels")
+    bad = _nonfinite(records)
+    if len(bad):
+        raise FormatError(f"{path}: record {bad[0]}: non-finite current value or target")
     labels = records["labels"].astype(np.int16)
     labels[~assigned] = UNASSIGNED
     currents = records["current_value"].tolist()

@@ -69,21 +69,22 @@ def _row_sums(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(block.T).sum(axis=1)
 
 
-def _best_completion(values: np.ndarray, base: np.ndarray, bits: list[int], node_budget: int) -> tuple[float, int]:
-    """Best completion value and the lexicographic index of its first occurrence,
-    refused before any work when the search tree has more than node_budget nodes.
+def _best_completion(values: np.ndarray, start: np.ndarray, bits: list[int], node_budget: int) -> tuple[float, int]:
+    """Best completion value and the lexicographic index of its first occurrence
+    from the bundles' flat indices `start`, refused before any work when the
+    search tree has more than node_budget nodes.
 
     The trailing free elements (half, or as many as fit BLOCK_COMPLETIONS)
     form the inner block, so memory stays bounded whatever the depth.
     """
-    m, u = len(base), len(bits)
+    m, u = len(start), len(bits)
     needed = dfs_node_count(m, u)
     if needed > node_budget:
         raise BudgetExceededError(needed, node_budget, f"depth {u}, branching {m}")
     split = u // 2
     while m ** (u - split) > BLOCK_COMPLETIONS:
         split += 1
-    outer = _flat_indices(base * m + np.arange(m), bits[:split])
+    outer = _flat_indices(start, bits[:split])
     inner = _flat_indices(np.zeros(m, dtype=np.int64), bits[split:])
     per = BLOCK_COMPLETIONS // inner.shape[1]
     best, where = -np.inf, 0
@@ -105,7 +106,7 @@ def exact_value_to_go(
     if assignment.n != table.n:
         raise ValueError(f"assignment has {assignment.n} elements, table expects {table.n}")
     bits = [1 << e for e, lab in enumerate(assignment.labels) if lab == UNASSIGNED]
-    return _best_completion(table.values, assignment.bundle_masks(table.m), bits, node_budget)[0]
+    return _best_completion(table.values, assignment.bundle_indices(table.m), bits, node_budget)[0]
 
 
 def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[PartialAssignment, float]:
@@ -114,5 +115,5 @@ def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tu
     Ties resolve to the first optimum in lexicographic label order.
     """
     n, m = table.n, table.m
-    value, where = _best_completion(table.values, np.zeros(m, dtype=np.int64), [1 << e for e in range(n)], node_budget)
+    value, where = _best_completion(table.values, np.arange(m), [1 << e for e in range(n)], node_budget)
     return PartialAssignment.from_labels(np.unravel_index(where, (m,) * n)), value

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MODEL_FORMAT, FormatError, PartialAssignment, UNASSIGNED, ValueTable, value_of
+from .core import MODEL_FORMAT, FormatError, PartialAssignment, ValueTable, value_of
 
 _LAYER_HEADER = struct.Struct("<II")
 
@@ -66,6 +66,14 @@ class TrainConfig:
 def _pack(weights, biases) -> np.ndarray:
     """One float64 vector holding each layer's row-major weights, then its biases."""
     return np.concatenate([np.ravel(a) for layer in zip(weights, biases) for a in layer], dtype=np.float64)
+
+
+def _check_norms(value_norm, target_norm) -> None:
+    """Refuse standardization constants that cannot be undone: a non-finite
+    mean or std, or a std that is not positive."""
+    for name, (mean, std) in (("value", value_norm), ("target", target_norm)):
+        if not (np.isfinite(mean) and np.isfinite(std) and std > 0):
+            raise ValueError(f"{name} norm ({mean!r}, {std!r}) needs a finite mean and a finite positive std")
 
 
 def _layer_views(flat: np.ndarray, model: "MlpModel") -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -125,9 +133,11 @@ class MlpModel:
     def save(self, path: str | Path) -> None:
         """Write the UCAM format: header n, m and the four norm constants,
         then per layer u32 rows, u32 cols, row-major f64 weights, f64 biases.
-        A model with non-finite parameters (diverged training) is refused."""
+        A model with non-finite parameters (diverged training) or unusable
+        norm constants is refused."""
         if not np.isfinite(self.params).all():
             raise ValueError("model contains non-finite parameters")
+        _check_norms(self.value_norm, self.target_norm)
         layers = []
         for W, b in zip(self.weights, self.biases):
             layers += [_LAYER_HEADER.pack(*W.shape), W.astype("<f8", copy=False), b.astype("<f8", copy=False)]
@@ -136,7 +146,7 @@ class MlpModel:
     @classmethod
     def load(cls, path: str | Path) -> "MlpModel":
         """Read a UCAM file; its first layer must take the m*n + 1 inputs
-        that its header's n and m give."""
+        that its header's n and m give, and its norm constants must be usable."""
         (n, m, vmean, vstd, tmean, tstd), payload = MODEL_FORMAT.read(path)
         offset = 0
         weights, biases = [], []
@@ -156,6 +166,7 @@ class MlpModel:
             biases.append(b)
         try:
             model = cls(n, m, weights, biases, (vmean, vstd), (tmean, tstd))
+            _check_norms(model.value_norm, model.target_norm)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from exc
         if model.input_dim != m * n + 1:
@@ -176,8 +187,19 @@ def init_model(n: int, m: int, rng: np.random.Generator) -> MlpModel:
     return MlpModel(n, m, weights, biases)
 
 
-def standardize(x: float, norm: tuple[float, float]) -> float:
-    return (x - norm[0]) / norm[1]
+def _encode(labels: np.ndarray, current_values: np.ndarray, m: int, value_norm: tuple[float, float]) -> np.ndarray:
+    """(R, m*n + 1) network inputs of an (R, n) label array: each row's one-hot
+    label matrix flattened row-major (alternative i, element j at i*n + j),
+    then its standardized current value."""
+    rows, n = labels.shape
+    bad = np.argwhere(labels >= m)
+    if len(bad):
+        r, j = bad[0]
+        raise ValueError(f"label {labels[r, j]} at element {j} exceeds m={m}")
+    X = np.empty((rows, m * n + 1))
+    X[:, : m * n] = (labels[:, None, :] == np.arange(m)[:, None]).reshape(rows, m * n)
+    X[:, m * n] = (current_values - value_norm[0]) / value_norm[1]
+    return X
 
 
 def encode_input(
@@ -187,16 +209,7 @@ def encode_input(
     value_norm: tuple[float, float] = (0.0, 1.0),
 ) -> np.ndarray:
     """Flattened binary assignment matrix plus the standardized value scalar."""
-    n = assignment.n
-    vec = np.zeros(m * n + 1)
-    for j, lab in enumerate(assignment.labels):
-        if lab == UNASSIGNED:
-            continue
-        if lab >= m:
-            raise ValueError(f"label {lab} at element {j} exceeds m={m}")
-        vec[lab * n + j] = 1.0
-    vec[m * n] = standardize(current_value, value_norm)
-    return vec
+    return _encode(np.array([assignment.labels], dtype=np.int64), np.array([current_value]), m, value_norm)[0]
 
 
 def _forward_std(model: MlpModel, X: np.ndarray):
@@ -246,12 +259,11 @@ def forward(model: MlpModel, x) -> float | np.ndarray:
 
 
 def _encode_batch(model: MlpModel, pairs) -> tuple[np.ndarray, np.ndarray]:
-    X = np.empty((len(pairs), model.input_dim))
-    y = np.empty(len(pairs))
-    for r, pair in enumerate(pairs):
-        X[r] = encode_input(pair.assignment, pair.current_value, model.m, model.value_norm)
-        y[r] = standardize(pair.target, model.target_norm)
-    return X, y
+    """Inputs and standardized targets of `pairs`, encoded as one label array."""
+    labels = np.array([pair.assignment.labels for pair in pairs], dtype=np.int16)
+    X = _encode(labels, np.array([pair.current_value for pair in pairs]), model.m, model.value_norm)
+    tmean, tstd = model.target_norm
+    return X, (np.array([pair.target for pair in pairs]) - tmean) / tstd
 
 
 def _loss_arrays(model: MlpModel, X: np.ndarray, y: np.ndarray, scratch: np.ndarray | None = None) -> float:
@@ -336,18 +348,6 @@ def _adam_update(params: np.ndarray, grad: np.ndarray, state: AdamState, cfg: Tr
     step *= cfg.learning_rate
     step /= denom
     params -= step
-
-
-def adam_step(
-    model: MlpModel,
-    grads: tuple[list[np.ndarray], list[np.ndarray]],
-    state: AdamState,
-    cfg: TrainConfig,
-) -> tuple[MlpModel, AdamState]:
-    """One Adam update with bias-corrected moments; parameters and state are
-    updated in place and returned for chaining."""
-    _adam_update(model.params, _pack(*grads), state, cfg)
-    return model, state
 
 
 def _norm_constants(values) -> tuple[float, float]:

@@ -23,17 +23,22 @@ from ucalab.neural import forward
 from ucalab.valuegen import TrapParams
 
 
+def bundle_masks(assignment: PartialAssignment, m: int) -> list[int]:
+    """Each alternative's bundle as a bitmask of the elements labeled with it."""
+    masks = [0] * m
+    for j, lab in enumerate(assignment.labels):
+        if lab != UNASSIGNED:
+            masks[lab] |= 1 << j
+    return masks
+
+
 def all_completion_values(table: ValueTable, assignment: PartialAssignment) -> np.ndarray:
     """Value of every completion of `assignment`, one per m^u label tuple."""
     n, m = table.n, table.m
     free = [j for j in range(n) if assignment.labels[j] == UNASSIGNED]
     u = len(free)
     count = m**u
-    base = np.zeros(m, dtype=np.int64)
-    for j, lab in enumerate(assignment.labels):
-        if lab != UNASSIGNED:
-            base[lab] |= 1 << j
-    masks = np.repeat(base[None, :], count, axis=0)
+    masks = np.repeat(np.array([bundle_masks(assignment, m)], dtype=np.int64), count, axis=0)
     if u:
         grids = np.indices((m,) * u).reshape(u, count).T
         rows = np.arange(count)

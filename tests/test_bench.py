@@ -84,6 +84,17 @@ def test_sampled_values_match_per_element_reference_bitwise(n, m):
     assert got.tobytes() == expected.tobytes()
 
 
+def test_sampled_values_accept_more_than_127_alternatives():
+    # int8 draws used to refuse m=200 with numpy's "high is out of bounds for int8"
+    table = npd_table(2, 200, 5)
+    got = bench._sampled_values(table, 300, np.random.default_rng(6))
+    draws = np.random.default_rng(6).integers(0, 200, size=(300, 2), dtype=np.uint8)
+    expected = [value_of(PartialAssignment.from_labels(row), table) for row in draws]
+    assert got.tolist() == expected
+    assert estimate_positive_probability(table, 300, np.random.default_rng(6))[1] == sum(v > 0 for v in expected)
+    assert value_histogram(table, 300, 10, np.random.default_rng(6))[1].sum() == 300
+
+
 def test_sampled_values_peak_memory_is_no_higher_than_before():
     # before, a batch held its int8 labels, (count, m) int64 masks, a row
     # index, the (count, m) gathered entries and the sums at once:

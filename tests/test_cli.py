@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 import subprocess
 import sys
 
@@ -87,6 +89,53 @@ def test_generate_solve_label_train_rollout_chain(tmp_path, capsys):
     rows = [line.split(",") for line in out[1:]]
     assert [r[0] for r in rows] == ["5", "20"]
     assert float(rows[-1][1]) <= value + 1e-12  # bounded by the exact optimum
+
+
+def test_rollout_refuses_a_model_with_a_zero_value_std(tmp_path, capsys):
+    # such a model used to load, and the rollout printed numpy warnings and a
+    # meaningless curve with exit 0
+    table_path, model_path = tmp_path / "t.ucav", tmp_path / "m.ucam"
+    run_cli(["generate", "--dist", "npd", "--n", "4", "--m", "2", "--seed", "1", "--out", str(table_path)])
+    init_model(4, 2, np.random.default_rng(0)).save(model_path)
+    raw = model_path.read_bytes()
+    # the value std follows the magic, the version, n, m and the value mean
+    model_path.write_bytes(raw[:21] + struct.pack("<d", 0.0) + raw[29:])
+    capsys.readouterr()
+    code = run_cli(["rollout", "--table", str(table_path), "--estimator", "neural", "--model", str(model_path),
+                    "--evals", "5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "value norm" in captured.err and captured.out == ""
+
+
+def test_train_with_a_grid_prints_the_chosen_cell_and_writes_its_trace(tmp_path, capsys):
+    table_path, data_path, model_path = tmp_path / "t.ucav", tmp_path / "d.ucad", tmp_path / "m.ucam"
+    run_cli(["generate", "--dist", "npd", "--n", "5", "--m", "2", "--seed", "1", "--out", str(table_path)])
+    run_cli(["label", "--table", str(table_path), "--kappa", "2", "--pairs", "30", "--seed", "2",
+             "--out", str(data_path)])
+    capsys.readouterr()
+    assert run_cli(["train", "--data", str(data_path), "--out", str(model_path),
+                    "--lr-grid", "1e-3,3e-3", "--batch-grid", "8", "--epochs", "1"]) == 0
+    out = capsys.readouterr().out
+    chosen = re.search(r"lr=(\S+), batch=8, final test loss=(\S+)\)", out)
+    assert chosen and float(chosen[1]) in (1e-3, 3e-3)
+    rows = (tmp_path / "training_trace.csv").read_text().splitlines()
+    assert rows[0] == "epoch,train_loss,test_loss" and len(rows) == 3
+    assert f"{float(rows[-1].split(',')[2]):.6g}" == chosen[2]
+    MlpModel.load(model_path)
+
+
+def test_bench_prediction_writes_its_four_files(tmp_path, capsys):
+    table_path, model_path, out_dir = tmp_path / "t.ucav", tmp_path / "m.ucam", tmp_path / "out"
+    run_cli(["generate", "--dist", "npd", "--n", "4", "--m", "2", "--seed", "9", "--out", str(table_path)])
+    init_model(4, 2, np.random.default_rng(0)).save(model_path)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"table={table_path}\nmodel={model_path}\nlevels=1,2\nsamples_per_level=5\n")
+    capsys.readouterr()
+    assert run_cli(["bench", "--experiment", "prediction", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    names = ["prediction_errors.csv", "prediction_scatter.csv", "prediction_errors.svg", "prediction_scatter.svg"]
+    assert capsys.readouterr().out == "wrote " + ", ".join(str(out_dir / name) for name in names) + "\n"
+    assert all((out_dir / name).stat().st_size > 0 for name in names)
 
 
 def test_rollout_neural_requires_model(tmp_path, capsys):
@@ -250,6 +299,14 @@ out_dir={out_dir}
 mu=0
 sigma=1
 """
+
+
+def pipeline_config(out_dir, extra=""):
+    """PIPELINE_CONFIG with each key=value line of `extra` in place of the
+    line that sets the same key."""
+    config = dict(line.split("=", 1) for line in PIPELINE_CONFIG.format(out_dir=out_dir).split("\n") if line)
+    config.update(line.split("=", 1) for line in extra.split("\n") if line)
+    return "".join(f"{key}={value}\n" for key, value in config.items())
 
 
 def test_pipeline_missing_key_exit_code(tmp_path, capsys):
@@ -527,11 +584,24 @@ def test_train_on_dataset_with_out_of_range_label_is_runtime_error(tmp_path, cap
 def test_pipeline_refuses_bad_config_before_the_first_stage(tmp_path, capsys, extra, message):
     out_dir = tmp_path / "run"
     cfg = tmp_path / "p.cfg"
-    # a later line overrides an earlier one, so `extra` replaces any default
-    cfg.write_text(PIPELINE_CONFIG.format(out_dir=out_dir) + extra)
+    cfg.write_text(pipeline_config(out_dir, extra))
     assert run_cli(["pipeline", "--config", str(cfg)]) == 2
     assert not out_dir.exists()
     assert message in capsys.readouterr().err
+
+
+def test_config_refuses_a_repeated_key_by_name_and_line(tmp_path, capsys):
+    # the later line used to overwrite the earlier one silently
+    out_dir = tmp_path / "run"
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PIPELINE_CONFIG.format(out_dir=out_dir) + "n=12\n")
+    assert run_cli(["pipeline", "--config", str(cfg)]) == 2
+    assert "line 16: repeated config key n" in capsys.readouterr().err
+    assert not out_dir.exists()
+    cfg.write_text(f"table={tmp_path / 't.ucav'}\nsamples=100\n\n# again\nsamples=200\n")
+    assert run_cli(["bench", "--experiment", "histogram", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert "line 5: repeated config key samples" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_pipeline_refuses_labeling_over_budget_before_the_first_stage(tmp_path, capsys):

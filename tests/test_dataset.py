@@ -17,7 +17,6 @@ from ucalab.dataset import (
     build_dataset,
     label_levels,
     load_dataset,
-    sample_partial_assignment,
     sample_partial_labels,
     save_dataset,
     split_dataset,
@@ -31,25 +30,24 @@ def npd_table(n, m, seed):
 
 
 def test_sample_extremes():
-    spec = ProblemSpec(6, 3, 0)
     rng = np.random.default_rng(0)
-    empty = sample_partial_assignment(spec, 0, rng)
-    assert empty.assigned_mask == 0
-    full = sample_partial_assignment(spec, 6, rng)
-    assert full.is_complete
-    with pytest.raises(ValueError):
-        sample_partial_assignment(spec, 7, rng)
+    empty, full = sample_partial_labels(6, 3, [6, 0], 1, rng)
+    assert (empty == UNASSIGNED).all()
+    assert ((full >= 0) & (full < 3)).all()
+    for level in (-1, 7):
+        with pytest.raises(ValueError):
+            sample_partial_labels(6, 3, [level], 1, rng)
 
 
 def test_sample_uniform_over_subsets_and_labelings():
-    spec = ProblemSpec(6, 2, 0)
+    # one record per call, as a one-record caller draws
     rng = np.random.default_rng(42)
     draws = 100_000
     subset_counts = Counter()
     labeling_counts = Counter()
     fixed_subset = None
     for _ in range(draws):
-        s = sample_partial_assignment(spec, 3, rng)
+        s = PartialAssignment.from_labels(sample_partial_labels(6, 2, [3], 1, rng)[0])
         subset_counts[s.assigned_mask] += 1
         if fixed_subset is None:
             fixed_subset = s.assigned_mask
@@ -88,14 +86,6 @@ def test_batched_sampler_is_uniform_at_each_level():
         sigma = math.sqrt(p * (1 - p) / per_level)
         for count in counts.values():
             assert abs(count / per_level - p) <= z * sigma
-
-
-def test_sample_partial_assignment_is_the_one_record_sampler():
-    spec = ProblemSpec(7, 3, 0)
-    for i in range(8):
-        one = sample_partial_assignment(spec, i, np.random.default_rng(i))
-        row = sample_partial_labels(7, 3, [7 - i], 1, np.random.default_rng(i))[0]
-        assert one.labels == tuple(row.tolist())
 
 
 def test_label_levels_records_are_the_sampler_rows_with_exact_labels():
@@ -247,6 +237,23 @@ def test_save_dataset_refuses_labels_that_collide_with_the_sentinel(tmp_path):
     with pytest.raises(ValueError, match="m=2"):
         save_dataset(path, [LabeledPair(PartialAssignment.from_labels([3, UNASSIGNED]), 0.5, 1.5)], 2, 2, 1)
     assert not path.exists()
+
+
+def test_dataset_refuses_non_finite_values_on_save_and_load(tmp_path):
+    # a NaN value used to be saved and loaded, and `ucalab train` then
+    # reported divergence at epoch 0
+    good = LabeledPair(PartialAssignment.from_labels([0, UNASSIGNED]), 0.5, 1.5)
+    path = tmp_path / "nan.ucad"
+    for bad in (LabeledPair(good.assignment, np.nan, 1.5), LabeledPair(good.assignment, 0.5, np.inf)):
+        with pytest.raises(ValueError, match="record 1: non-finite current value or target"):
+            save_dataset(path, [good, bad], 2, 2, 1)
+        assert not path.exists()
+    save_dataset(path, [good] * 3, 2, 2, 1)
+    raw = path.read_bytes()
+    # the last 8 bytes are record 2's target
+    path.write_bytes(raw[:-8] + struct.pack("<d", np.nan))
+    with pytest.raises(FormatError, match="record 2: non-finite current value or target"):
+        load_dataset(path)
 
 
 def write_ucad(path, n, m, records=()):

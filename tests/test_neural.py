@@ -14,7 +14,8 @@ from ucalab.neural import (
     MlpModel,
     TrainConfig,
     TrainingDivergedError,
-    adam_step,
+    _adam_update,
+    _pack,
     backward,
     encode_input,
     forward,
@@ -223,7 +224,7 @@ def test_adam_zero_gradient_leaves_parameters():
     before = [W.copy() for W in model.weights]
     state = init_adam_state(model)
     zeros = ([np.zeros_like(W) for W in model.weights], [np.zeros_like(b) for b in model.biases])
-    adam_step(model, zeros, state, TrainConfig(0.1, 1, 1))
+    _adam_update(model.params, _pack(*zeros), state, TrainConfig(0.1, 1, 1))
     for W, old in zip(model.weights, before):
         assert np.array_equal(W, old)
 
@@ -233,7 +234,7 @@ def test_adam_first_step_hand_evaluated():
     state = init_adam_state(model)
     cfg = TrainConfig(learning_rate=0.1, batch_size=1, epochs=1)
     grads = ([np.array([[1.0]])], [np.array([0.0])])
-    adam_step(model, grads, state, cfg)
+    _adam_update(model.params, _pack(*grads), state, cfg)
     # hand evaluation at t=1: m_hat = v_hat = 1, update = -lr/(1 + eps)
     beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     m_hat = (1 - beta1) * 1.0 / (1 - beta1)
@@ -252,8 +253,8 @@ def test_adam_is_deterministic():
     cfg = TrainConfig(0.01, 4, 1)
     state_a, state_b = init_adam_state(model_a), init_adam_state(model_b)
     for _ in range(2):
-        adam_step(model_a, backward(model_a, pairs), state_a, cfg)
-        adam_step(model_b, backward(model_b, pairs), state_b, cfg)
+        _adam_update(model_a.params, _pack(*backward(model_a, pairs)), state_a, cfg)
+        _adam_update(model_b.params, _pack(*backward(model_b, pairs)), state_b, cfg)
     for Wa, Wb in zip(model_a.weights, model_b.weights):
         assert np.array_equal(Wa, Wb)
 
@@ -479,6 +480,25 @@ def test_train_config_validation():
 def test_train_config_refuses_non_finite_learning_rate(learning_rate):
     with pytest.raises(ValueError, match="learning_rate must be finite"):
         TrainConfig(learning_rate, 4, 1)
+
+
+def test_model_refuses_unusable_norm_constants_on_save_and_load(tmp_path):
+    # a model with value std 0 and a NaN target mean used to load, and neural
+    # rollouts then scored every child NaN with numpy warnings
+    model = init_model(2, 2, np.random.default_rng(33))
+    path = tmp_path / "norm.ucam"
+    for value_norm, target_norm in [((0.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (np.nan, 1.0)), ((np.inf, 1.0), (0.0, 1.0))]:
+        model.value_norm, model.target_norm = value_norm, target_norm
+        with pytest.raises(ValueError, match="norm"):
+            model.save(path)
+        assert not path.exists()
+    model.value_norm, model.target_norm = (0.0, 1.0), (0.0, 1.0)
+    model.save(path)
+    raw = path.read_bytes()
+    # the four norm constants follow the magic, the version, n and m
+    path.write_bytes(raw[:13] + struct.pack("<4d", 0.0, 0.0, np.nan, 1.0) + raw[45:])
+    with pytest.raises(FormatError, match="value norm"):
+        MlpModel.load(path)
 
 
 def test_model_save_refuses_non_finite_parameters(tmp_path):

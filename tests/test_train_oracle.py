@@ -12,7 +12,7 @@ from oracles import ReferenceAdam, reference_encode, reference_gradients, refere
 
 from ucalab.core import PartialAssignment
 from ucalab.dataset import LabeledPair
-from ucalab.neural import MlpModel, TrainConfig, adam_step, backward, init_adam_state, init_model, train
+from ucalab.neural import MlpModel, TrainConfig, _adam_update, _pack, backward, init_adam_state, init_model, train
 
 
 def random_pairs(n, m, count, rng):
@@ -82,7 +82,7 @@ def step_against_reference(models, steps=3):
     states = [init_adam_state(model) for model in models]
     for _ in range(steps):
         for model, state in zip(models, states):
-            adam_step(model, backward(model, pairs), state, cfg)
+            _adam_update(model.params, _pack(*backward(model, pairs)), state, cfg)
         ref_adam.step(ref_w, ref_b, *reference_gradients(ref_w, ref_b, X, y))
     assert not same_bits(ref_w, initial)  # the steps moved the weights
     for model in models:

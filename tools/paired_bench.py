@@ -12,7 +12,10 @@ in the direction that BENCHMARK.json gives the metric (lower is better when
 it names none), then each side's median round count (a run fits more rounds
 into --seconds the faster it is, and peak_rss_mb grows with them). It ends
 with one line naming every end-to-end metric whose change median is worse
-than the base median by more than its BENCHMARK.json bound. BENCHMARK.json
+than the base median by more than its BENCHMARK.json bound, and one naming
+every end-to-end metric left unresolved: the base runs' IQR is wider than
+the bound, and not every change run reads better than every base run, so
+the runs cannot tell a change within the bound from noise. BENCHMARK.json
 is only read. Exits 1 when any run fails or reports failed checks.
 """
 
@@ -46,9 +49,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
 
 
-def compare(sides: dict, args, workload: str, spec: dict) -> list[str] | None:
+def unresolved(base: list[float], change: list[float], bound: float, sign: float) -> bool:
+    """Whether the base runs spread (IQR) wider than `bound` times their median
+    while some change run reads no better than some base run; `sign` is -1
+    when lower is better and +1 when higher is."""
+    b1, bm, b3 = quartiles(base)
+    return b3 - b1 > bound * abs(bm) and min(sign * c for c in change) <= max(sign * b for b in base)
+
+
+def compare(sides: dict, args, workload: str, spec: dict) -> tuple[list[str], list[str]] | None:
     """Run and print one workload's pairs; returns the end-to-end metrics
-    worse than their bound, or None when a run failed."""
+    worse than their bound and those left unresolved, or None when a run
+    failed."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs = {side: [] for side in sides}
@@ -69,7 +81,7 @@ def compare(sides: dict, args, workload: str, spec: dict) -> list[str] | None:
           f"seconds={args.seconds} trace={args.trace} "
           f"rounds base={statistics.median(rounds['base']):g} change={statistics.median(rounds['change']):g}")
     print(f"{'metric':34} {'base median [IQR]':>26} {'change median [IQR]':>26} {'change':>8} {'won':>6}")
-    worse = []
+    worse, undecided = [], []
     for name in runs["base"][0]:
         base = [r[name] for r in runs["base"]]
         change = [r[name] for r in runs["change"]]
@@ -77,11 +89,15 @@ def compare(sides: dict, args, workload: str, spec: dict) -> list[str] | None:
         won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
         delta = f"{(cm - bm) / abs(bm):+.1%}" if bm else "n/a"
+        label = "unresolved" if name in bounds and unresolved(base, change, bounds[name], sign) else ""
         print(f"{name:34} {bm:>12.6g} [{b3 - b1:>10.3g}] {cm:>12.6g} [{c3 - c1:>10.3g}] {delta:>8} "
-              f"{won:>3}/{args.pairs}")
+              f"{won:>3}/{args.pairs} {label}".rstrip())
         if name in bounds and sign * (cm - bm) < -bounds[name] * abs(bm):
             worse.append(f"{workload}:{name} {delta} (bound {bounds[name]:.0%})")
-    return worse
+        if label:
+            spread = (b3 - b1) / abs(bm)
+            undecided.append(f"{workload}:{name} {delta} (base IQR {spread:.0%}, bound {bounds[name]:.0%})")
+    return worse, undecided
 
 
 def main() -> int:
@@ -97,14 +113,16 @@ def main() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"base": args.base, "change": args.change}
-    worse = []
+    worse, undecided = [], []
     for workload in args.workload:
         found = compare(sides, args, workload, spec)
         if found is None:
             return 1
-        worse += found
+        worse += found[0]
+        undecided += found[1]
         print()
     print("worse than bound: " + (", ".join(worse) if worse else "none"))
+    print("unresolved: " + (", ".join(undecided) if undecided else "none"))
     return 0
 
 
