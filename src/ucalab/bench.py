@@ -16,7 +16,7 @@ import numpy as np
 from .core import ValueTable
 from .dataset import label_levels
 from .exact import BudgetExceededError, DEFAULT_NODE_BUDGET, solve_exact
-from .search import Estimator, best_of_n
+from .search import Estimator, best_of_n, checked_checkpoints
 from .seeding import derive_seed
 from .svg import Curve, padded_range, write_line_chart, write_scatter
 
@@ -113,12 +113,10 @@ def prediction_error_report(
     levels = [int(k) for k in levels]
     pairs = label_levels(table, levels, samples_per_level, rng, node_budget)
     scatter = [(pair.target, float(predictor(pair.assignment))) for pair in pairs]
-    rows = []
-    for i, k in enumerate(levels):
-        level = scatter[i * samples_per_level : (i + 1) * samples_per_level]
-        errors = np.array([true_value - predicted for true_value, predicted in level])
-        std = float(errors.std(ddof=1)) if samples_per_level > 1 else 0.0
-        rows.append(LevelErrorRow(k, float(errors.mean()), std, samples_per_level))
+    errors = np.array([true - predicted for true, predicted in scatter]).reshape(len(levels), samples_per_level)
+    stds = errors.std(axis=1, ddof=1) if samples_per_level > 1 else np.zeros(len(levels))
+    rows = [LevelErrorRow(k, float(mean), float(std), samples_per_level)
+            for k, mean, std in zip(levels, errors.mean(axis=1), stds)]
     return PredictionErrorReport(rows, scatter)
 
 
@@ -156,7 +154,7 @@ def benchmark_curves(
     """
     if not tables:
         raise ValueError("at least one value table is required")
-    checkpoints = [int(c) for c in checkpoints]
+    checkpoints = checked_checkpoints(n_evals, checkpoints)
     for label, insts in estimators.items():
         if len(insts) != len(tables):
             raise ValueError(f"estimator {label!r} needs one instance per table")
@@ -202,12 +200,15 @@ def write_csv(path: str | Path, columns: str, rows, comments=()) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_histogram(csv_path: str | Path, svg_path: str | Path, edges: np.ndarray, counts: np.ndarray) -> None:
+def write_histogram(csv_path: str | Path, edges: np.ndarray, counts: np.ndarray) -> list[Path]:
+    """Emit the histogram CSV and its .svg twin; returns both paths."""
+    csv_path, svg_path = Path(csv_path), Path(csv_path).with_suffix(".svg")
     write_csv(csv_path, "bin_low,bin_high,count", zip(edges[:-1], edges[1:], counts.tolist()))
     centers = (edges[:-1] + edges[1:]) / 2
     curve = Curve("count", list(zip(centers.tolist(), counts.astype(float).tolist())))
     write_line_chart(svg_path, [curve], title="Assignment value distribution",
                      xlabel="assignment value", ylabel="count")
+    return [csv_path, svg_path]
 
 
 def write_prediction_report(report: PredictionErrorReport, out_dir: str | Path) -> list[Path]:
@@ -233,12 +234,9 @@ def write_prediction_report(report: PredictionErrorReport, out_dir: str | Path) 
     return [errors_csv, scatter_csv, errors_svg, scatter_svg]
 
 
-def write_curves_report(
-    report: CurvesReport,
-    csv_path: str | Path,
-    svg_path: str | Path,
-    title: str = "Best solution value",
-) -> None:
+def write_curves_report(report: CurvesReport, csv_path: str | Path, title: str = "Best solution value") -> list[Path]:
+    """Emit the curves CSV and its .svg twin; returns both paths."""
+    csv_path, svg_path = Path(csv_path), Path(csv_path).with_suffix(".svg")
     comments = [f"95% CI: normal approximation, mean +/- {_CI_FACTOR}*sd/sqrt({report.n_instances})"]
     csv_rows = [(row.estimator, row.checkpoint, row.mean, row.ci_low, row.ci_high) for row in report.rows]
     if report.optimum_mean is None:
@@ -262,3 +260,4 @@ def write_curves_report(
     hline = ("optimum", report.optimum_mean) if report.optimum_mean is not None else None
     write_line_chart(svg_path, curves, title=title, xlabel="number of evaluations",
                      ylabel="best solution value", hline=hline)
+    return [csv_path, svg_path]

@@ -75,6 +75,13 @@ def _list_parser(kind, names=None, unique=None):
     return parse
 
 
+def _path(text: str) -> str:
+    """A file or directory path; an empty one is refused."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 STR_LIST, INT_LIST = _list_parser(str), _list_parser(int)
 DIST_LIST = _list_parser(str, DISTRIBUTIONS, "distribution or estimator")
 ESTIMATOR_LIST = _list_parser(str, ESTIMATOR_KINDS, "distribution or estimator")
@@ -87,15 +94,15 @@ PIPELINE_KEYS = {
     "master_seed": (int, REQUIRED), "n": (int, REQUIRED), "m": (int, REQUIRED), "kappa": (int, REQUIRED),
     "pairs_per_level": (int, REQUIRED), "epochs": (int, REQUIRED), "learning_rate": (float, REQUIRED),
     "batch_size": (int, REQUIRED), "instances": (int, REQUIRED), "evals": (int, REQUIRED),
-    "checkpoints": (INT_LIST, REQUIRED), "out_dir": (Path, REQUIRED),
+    "checkpoints": (INT_LIST, REQUIRED), "out_dir": (_path, REQUIRED),
     "split_fraction": (float, SPLIT_FRACTION), "node_budget": (int, DEFAULT_NODE_BUDGET),
     "distributions": (DIST_LIST, DISTRIBUTIONS), "estimators": (ESTIMATOR_LIST, ESTIMATOR_KINDS),
     **{key: (float, default) for key, default in DIST_DEFAULTS.items()},
 }
 BENCH_KEYS = {
-    "probability": {"table": (str, REQUIRED), "samples": (int, REQUIRED), "seed": (int, 0)},
-    "histogram": {"table": (str, REQUIRED), "samples": (int, REQUIRED), "bins": (int, 100), "seed": (int, 0)},
-    "prediction": {"table": (str, REQUIRED), "model": (str, REQUIRED), "levels": (INT_LIST, REQUIRED),
+    "probability": {"table": (_path, REQUIRED), "samples": (int, REQUIRED), "seed": (int, 0)},
+    "histogram": {"table": (_path, REQUIRED), "samples": (int, REQUIRED), "bins": (int, 100), "seed": (int, 0)},
+    "prediction": {"table": (_path, REQUIRED), "model": (_path, REQUIRED), "levels": (INT_LIST, REQUIRED),
                    "samples_per_level": (int, REQUIRED), "seed": (int, 0), "node_budget": (int, DEFAULT_NODE_BUDGET)},
     "curves": {"tables": (STR_LIST, REQUIRED), "estimators": (ESTIMATOR_LIST, REQUIRED), "evals": (int, REQUIRED),
                "checkpoints": (INT_LIST, REQUIRED), "models": (STR_LIST, None), "seed": (int, 0),
@@ -137,26 +144,17 @@ def _fit(pairs, n, m, split_fraction, split_seed, lr_grid, batch_grid, epochs, t
     return cfg, model, trace, cfg.epochs * -(-len(train_pairs) // cfg.batch_size)
 
 
-def _estimators(names, models, count: int) -> dict[str, list[Estimator]]:
-    """One Estimator per table for each named heuristic; `models` holds the
-    neural heuristic's network for each table."""
-    estimators: dict[str, list[Estimator]] = {}
-    for name in names:
-        if name == "neural":
-            estimators[name] = [Estimator.neural(model) for model in models]
-        else:
-            estimators[name] = [Estimator(name)] * count
-    return estimators
-
-
-def _curves(tables, estimators, evals, checkpoints, seed, budget, csv_path: Path, dist: str = ""):
-    """Best-of-N curves over `tables`, written to csv_path and its .svg twin."""
+def _curves(tables, names, models, evals, checkpoints, seed, budget, csv_path: Path, dist: str = ""):
+    """Best-of-N curves over `tables` for each named heuristic, written to
+    csv_path and its .svg twin; `models` holds the neural heuristic's network
+    for each table. Returns the report and the paths written."""
+    estimators = {name: [Estimator(name, model) for model in models] if name == "neural"
+                  else [Estimator(name)] * len(tables) for name in names}
     report = benchmark_curves(tables, estimators, evals, checkpoints, seed, node_budget=budget)
     prefix, title = (f"{dist}: ", f"Best solution value ({dist})") if dist else ("", "Best solution value")
     if report.optimum_mean is None:
         print(f"{prefix}optimum unavailable at this scale")
-    write_curves_report(report, csv_path, csv_path.with_suffix(".svg"), title=title)
-    return report
+    return report, write_curves_report(report, csv_path, title=title)
 
 
 def cmd_generate(args) -> int:
@@ -198,8 +196,7 @@ def cmd_rollout(args) -> int:
     if (args.estimator == "neural") != bool(args.model):
         raise ConfigError("--model is required for the neural estimator and refused for the others")
     table = ValueTable.load(args.table)
-    models = [MlpModel.load(args.model)] if args.estimator == "neural" else []
-    estimator = _estimators([args.estimator], models, 1)[args.estimator][0]
+    estimator = Estimator(args.estimator, MlpModel.load(args.model) if args.model else None)
     checkpoints = args.checkpoints if args.checkpoints else [args.evals]
     result = best_of_n(table, estimator, args.evals, checkpoints, np.random.default_rng(args.seed))
     print("checkpoint,best_value")
@@ -255,45 +252,39 @@ def cmd_bench(args) -> int:
     c = _parse_config(read_config(args.config), BENCH_KEYS[experiment])
     out_dir = Path(args.out_dir)
 
+    if experiment == "curves":
+        if ("neural" in c.estimators) != (c.models is not None):
+            raise ConfigError("models is required for the neural estimator and refused for the others")
+        if c.models is not None and len(c.models) != len(c.tables):
+            raise ConfigError("models must list one model per table")
+        checked_checkpoints(c.evals, c.checkpoints)
+        tables = [ValueTable.load(p) for p in c.tables]
+        models = [MlpModel.load(p) for p in c.models or ()]
+        for model, table in zip(models, tables):
+            check_fits(model, table)
+        _, paths = _curves(tables, c.estimators, models, c.evals, c.checkpoints, c.seed, c.node_budget,
+                           out_dir / "curves.csv")
+        print(f"wrote {paths[0]}")
+        return 0
+
+    table = ValueTable.load(c.table)
+    rng = np.random.default_rng(c.seed)
     if experiment == "probability":
-        table = ValueTable.load(c.table)
-        prob, positives = estimate_positive_probability(table, c.samples, np.random.default_rng(c.seed))
+        prob, positives = estimate_positive_probability(table, c.samples, rng)
         write_csv(out_dir / "probability.csv", "samples,positives,probability", [(c.samples, positives, prob)])
         print(f"P(V>0) = {prob:.6g} ({positives}/{c.samples})")
-        return 0
-
-    if experiment == "histogram":
-        table = ValueTable.load(c.table)
-        edges, counts = value_histogram(table, c.samples, c.bins, np.random.default_rng(c.seed))
-        write_histogram(out_dir / "histogram.csv", out_dir / "histogram.svg", edges, counts)
-        print(f"wrote {out_dir / 'histogram.csv'}")
-        return 0
-
-    if experiment == "prediction":
-        table = ValueTable.load(c.table)
+    elif experiment == "histogram":
+        paths = write_histogram(out_dir / "histogram.csv", *value_histogram(table, c.samples, c.bins, rng))
+        print(f"wrote {paths[0]}")
+    else:
         model = MlpModel.load(c.model)
         check_fits(model, table)
         report = prediction_error_report(
             lambda assignment: predict_value_to_go(model, assignment, table),
-            table, c.levels, c.samples_per_level, np.random.default_rng(c.seed), node_budget=c.node_budget,
+            table, c.levels, c.samples_per_level, rng, node_budget=c.node_budget,
         )
         paths = write_prediction_report(report, out_dir)
         print(f"wrote {', '.join(str(p) for p in paths)}")
-        return 0
-
-    # curves
-    if ("neural" in c.estimators) != (c.models is not None):
-        raise ConfigError("models is required for the neural estimator and refused for the others")
-    if c.models is not None and len(c.models) != len(c.tables):
-        raise ConfigError("models must list one model per table")
-    checked_checkpoints(c.evals, c.checkpoints)
-    tables = [ValueTable.load(p) for p in c.tables]
-    models = [MlpModel.load(p) for p in c.models or ()]
-    for model, table in zip(models, tables):
-        check_fits(model, table)
-    estimators = _estimators(c.estimators, models, len(tables))
-    _curves(tables, estimators, c.evals, c.checkpoints, c.seed, c.node_budget, out_dir / "curves.csv")
-    print(f"wrote {out_dir / 'curves.csv'}")
     return 0
 
 
@@ -311,7 +302,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
     if c.instances < 1:
         raise ConfigError(f"instances must be at least 1, got {c.instances}")
     # Constructing the stage settings refuses out-of-range values before any stage runs.
-    ProblemSpec(c.n, c.m)
+    ProblemSpec(c.n, c.m).check_table_memory()
     generators = [(dist, *_generator(dist, c.n, vars(c))) for dist in c.distributions]
     dataset_cfg = DatasetConfig(c.kappa, c.pairs_per_level)
     TrainConfig(c.learning_rate, c.batch_size, c.epochs)
@@ -323,7 +314,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
             raise ConfigError(f"split_fraction={c.split_fraction} leaves {n_train} train and {n_test} test records "
                               "per dataset; both must be nonempty")
 
-    out_dir = c.out_dir
+    out_dir = Path(c.out_dir)
     for sub in ("tables", "datasets", "models", "curves"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
@@ -381,13 +372,11 @@ def run_pipeline(config: dict[str, str]) -> dict:
             manifest["timings_s"][f"train/{dist}"] = round(train_s, 3)
 
         t0 = time.perf_counter()
-        estimators = _estimators(c.estimators, models, c.instances)
-        csv_path = out_dir / "curves" / f"curves_{dist}.csv"
-        seed = stage_seed(f"bench/{dist}")
-        report = _curves(tables, estimators, c.evals, c.checkpoints, seed, c.node_budget, csv_path, dist)
+        report, paths = _curves(tables, c.estimators, models, c.evals, c.checkpoints, stage_seed(f"bench/{dist}"),
+                                c.node_budget, out_dir / "curves" / f"curves_{dist}.csv", dist)
         manifest["optimum"][dist] = report.optimum_mean
-        note_file(csv_path)
-        note_file(csv_path.with_suffix(".svg"))
+        for path in paths:
+            note_file(path)
         manifest["timings_s"][f"bench/{dist}"] = round(time.perf_counter() - t0, 3)
 
     manifest_path = out_dir / "manifest.json"
@@ -407,23 +396,23 @@ def cmd_pipeline(args) -> int:
 COMMANDS = {
     "generate": (cmd_generate, "generate a value table", {
         "dist": (DISTRIBUTIONS, REQUIRED), "n": (int, REQUIRED), "m": (int, REQUIRED), "seed": (int, REQUIRED),
-        **{key: (float, default) for key, default in DIST_DEFAULTS.items()}, "out": (str, REQUIRED)}),
+        **{key: (float, default) for key, default in DIST_DEFAULTS.items()}, "out": (_path, REQUIRED)}),
     "solve": (cmd_solve, "exact optimum by exhaustive search", {
-        "table": (str, REQUIRED), "budget": (int, DEFAULT_NODE_BUDGET)}),
+        "table": (_path, REQUIRED), "budget": (int, DEFAULT_NODE_BUDGET)}),
     "label": (cmd_label, "build an exactly labeled dataset", {
-        "table": (str, REQUIRED), "kappa": (int, REQUIRED), "pairs": (int, REQUIRED), "seed": (int, REQUIRED),
-        "budget": (int, DEFAULT_NODE_BUDGET), "out": (str, REQUIRED)}),
+        "table": (_path, REQUIRED), "kappa": (int, REQUIRED), "pairs": (int, REQUIRED), "seed": (int, REQUIRED),
+        "budget": (int, DEFAULT_NODE_BUDGET), "out": (_path, REQUIRED)}),
     "train": (cmd_train, "train the value-to-go network", {
-        "data": (str, REQUIRED), "out": (str, REQUIRED), "lr-grid": (LR_GRID, (1e-4, 3e-4, 1e-3, 3e-3)),
+        "data": (_path, REQUIRED), "out": (_path, REQUIRED), "lr-grid": (LR_GRID, (1e-4, 3e-4, 1e-3, 3e-3)),
         "batch-grid": (BATCH_GRID, (32, 64, 128)), "epochs": (int, 200), "split": (float, SPLIT_FRACTION),
-        "seed": (int, 0), "trace": (str, None)}),
+        "seed": (int, 0), "trace": (_path, None)}),
     "rollout": (cmd_rollout, "best-of-N greedy rollouts", {
-        "table": (str, REQUIRED), "estimator": (ESTIMATOR_KINDS, REQUIRED), "model": (str, None),
+        "table": (_path, REQUIRED), "estimator": (ESTIMATOR_KINDS, REQUIRED), "model": (_path, None),
         "evals": (int, REQUIRED), "checkpoints": (INT_LIST, None), "seed": (int, 0)}),
     "bench": (cmd_bench, "run one benchmark experiment from a config file", {
-        "experiment": (tuple(BENCH_KEYS), REQUIRED), "config": (str, REQUIRED), "out-dir": (str, REQUIRED)}),
+        "experiment": (tuple(BENCH_KEYS), REQUIRED), "config": (_path, REQUIRED), "out-dir": (_path, REQUIRED)}),
     "pipeline": (cmd_pipeline, "generate, label, train, and benchmark from a config file", {
-        "config": (str, REQUIRED)}),
+        "config": (_path, REQUIRED)}),
 }
 FLAG_HELP = {
     "tau": "trap threshold (default n/2)", "trace": "trace CSV path (default training_trace.csv next to model)",

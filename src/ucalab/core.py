@@ -3,8 +3,9 @@
 An instance distributes n indivisible elements among m alternatives; the
 tuple of per-alternative bundles is an assignment. Bundles are n-bit masks
 over element indices, and the value function is a dense 2^n x m float64
-table so every bundle lookup is O(1). The n <= 30 guard keeps the dense
-table representable (84 MB at n=20, m=10).
+table so every bundle lookup is O(1) (84 MB at n=20, m=10). A table is
+refused before it is generated when its 2^n * m * 8 bytes exceed the
+physical memory the OS reports.
 """
 
 from __future__ import annotations
@@ -86,6 +87,15 @@ class ProblemSpec:
             raise ValueError(f"m must be at least 1, got {self.m}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
+
+    def check_table_memory(self) -> None:
+        """Refuse, before anything is allocated, a dense value table larger
+        than the physical memory the OS reports at the time of the check."""
+        needed = (1 << self.n) * self.m * 8
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if needed > physical:
+            raise ValueError(f"a value table with n={self.n}, m={self.m} needs {needed} bytes, "
+                             f"more than the {physical} bytes of physical memory")
 
 
 class ValueTable:

@@ -115,9 +115,14 @@ def greedy_rollout(table: ValueTable, estimator: Estimator, rng: np.random.Gener
 
 
 def checked_checkpoints(n_evals: int, checkpoints) -> list[int]:
-    """The checkpoints as ints, refused unless strictly ascending in 1..n_evals."""
+    """The checkpoints as ints, refused unless integral and strictly ascending
+    in 1..n_evals."""
     if n_evals < 1:
         raise ValueError("n_evals must be at least 1")
+    checkpoints = list(checkpoints)
+    fractional = [c for c in checkpoints if not (isinstance(c, (int, np.integer)) or float(c).is_integer())]
+    if fractional:
+        raise ValueError(f"checkpoints must be integers, got {', '.join(map(str, fractional))}")
     checkpoints = [int(c) for c in checkpoints]
     if any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly ascending")

@@ -64,6 +64,7 @@ def trap_mean(bundle_size: int, p: TrapParams) -> float:
 
 def generate_npd(spec: ProblemSpec, p: NpdParams) -> ValueTable:
     """Dense table with i.i.d. N(mu, sigma^2) entries, seeded by `spec.seed`."""
+    spec.check_table_memory()
     values = np.random.default_rng(spec.seed).standard_normal((1 << spec.n, spec.m))
     values *= p.sigma
     values += p.mu
@@ -72,6 +73,7 @@ def generate_npd(spec: ProblemSpec, p: NpdParams) -> ValueTable:
 
 def generate_trap(spec: ProblemSpec, p: TrapParams) -> ValueTable:
     """Dense table with entry (mask, t) ~ N(trap_mean(popcount(mask)), sigma^2)."""
+    spec.check_table_memory()
     values = np.random.default_rng(spec.seed).standard_normal((1 << spec.n, spec.m))
     values *= p.sigma
     means = np.array([trap_mean(s, p) for s in range(spec.n + 1)])

@@ -246,9 +246,9 @@ def test_curves_csv_deterministic_and_marker(tmp_path):
     tables = [npd_table(6, 2, 50 + i) for i in range(2)]
     report = benchmark_curves(tables, make_estimators(tables), 25, [5, 25], master_seed=4)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_curves_report(report, p1, tmp_path / "a.svg")
+    assert write_curves_report(report, p1) == [p1, tmp_path / "a.svg"]
     report2 = benchmark_curves(tables, make_estimators(tables), 25, [5, 25], master_seed=4)
-    write_curves_report(report2, p2, tmp_path / "b.svg")
+    write_curves_report(report2, p2)
     assert p1.read_bytes() == p2.read_bytes()
     text = p1.read_text()
     assert "estimator,checkpoint,mean,ci_low,ci_high" in text
@@ -258,7 +258,7 @@ def test_curves_csv_deterministic_and_marker(tmp_path):
 
     no_opt = benchmark_curves(tables, make_estimators(tables), 5, [5], master_seed=4, node_budget=10)
     p3 = tmp_path / "c.csv"
-    write_curves_report(no_opt, p3, tmp_path / "c.svg")
+    write_curves_report(no_opt, p3)
     assert "# optimum unavailable at this scale" in p3.read_text()
 
 
@@ -268,10 +268,18 @@ def test_curves_estimator_instance_count_validated():
         benchmark_curves(tables, {"current": [Estimator.current_value()]}, 5, [5], master_seed=6)
 
 
+def test_curves_refuse_a_non_integral_checkpoint_before_any_rollout(monkeypatch):
+    # a checkpoint of 2.5 used to write a row for checkpoint 2
+    monkeypatch.setattr(bench, "best_of_n", None)
+    tables = [npd_table(5, 2, 72)]
+    with pytest.raises(ValueError, match="checkpoints must be integers, got 2.5"):
+        benchmark_curves(tables, make_estimators(tables), 5, [2.5], master_seed=6)
+
+
 def test_histogram_files(tmp_path):
     table = npd_table(5, 2, 80)
     edges, counts = value_histogram(table, 1000, 12, np.random.default_rng(16))
-    write_histogram(tmp_path / "h.csv", tmp_path / "h.svg", edges, counts)
+    assert write_histogram(tmp_path / "h.csv", edges, counts) == [tmp_path / "h.csv", tmp_path / "h.svg"]
     lines = (tmp_path / "h.csv").read_text().splitlines()
     assert lines[0] == "bin_low,bin_high,count"
     assert len(lines) == 13

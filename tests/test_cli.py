@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 import subprocess
@@ -231,10 +232,14 @@ def test_bench_unknown_config_key_names_it(tmp_path, capsys):
         # a repeated estimator used to be merged silently
         ("curves", "tables={dir}/missing.ucav\nestimators=current,random,current\nevals=5\ncheckpoints=5\n",
          "config key estimators: repeated distribution or estimator: current"),
+        # an empty table used to exit 1 with "No such file or directory: ''"
+        ("probability", "table=\nsamples=10\n", "config key table: must not be empty"),
+        ("prediction", "table={table}\nmodel=\nlevels=1\nsamples_per_level=5\n",
+         "config key model: must not be empty"),
     ],
     ids=["models-without-neural", "model-count-before-loading", "empty-tables", "empty-levels", "unparsable-value",
          "unknown-estimator-before-loading", "checkpoint-beyond-evals-before-loading",
-         "repeated-estimator-before-loading"],
+         "repeated-estimator-before-loading", "empty-table", "empty-model"],
 )
 def test_bench_refuses_bad_config_by_name_before_loading_or_writing(tmp_path, capsys, experiment, config, message):
     table_path = tmp_path / "t.ucav"
@@ -575,11 +580,13 @@ def test_train_on_dataset_with_out_of_range_label_is_runtime_error(tmp_path, cap
         # 5 records split ceil(0.9 * 5) = 5 to 0; training used to refuse that after a table and dataset were written
         ("n=4\nm=2\nkappa=1\npairs_per_level=5\n",
          "split_fraction=0.1 leaves 5 train and 0 test records per dataset; both must be nonempty"),
+        # a table over physical memory used to fail allocating, after out_dir and its subdirectories were made
+        ("n=30\nm=1000000\n", f"needs {(1 << 30) * 10**6 * 8} bytes, more than the"),
     ],
     ids=["misspelt-key", "split-fraction", "unknown-estimator", "checkpoint-beyond-evals", "empty-checkpoints",
          "empty-estimators", "empty-distributions", "unparsable-value", "n-zero", "n-too-large", "m-zero",
          "negative-sigma", "no-instances", "kappa-beyond-n", "repeated-checkpoint", "nan-tau", "nan-learning-rate",
-         "repeated-distribution", "repeated-estimator", "empty-test-split"],
+         "repeated-distribution", "repeated-estimator", "empty-test-split", "table-over-memory"],
 )
 def test_pipeline_refuses_bad_config_before_the_first_stage(tmp_path, capsys, extra, message):
     out_dir = tmp_path / "run"
@@ -622,6 +629,46 @@ def test_generate_refuses_non_finite_tau(tmp_path, capsys):
     assert code == 2
     assert "tau_threshold must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_generate_refuses_a_table_over_physical_memory_before_allocating(tmp_path, capsys):
+    # n=30, m=10 used to ask numpy for 80 GiB and end in a MemoryError traceback
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    out = tmp_path / "big.ucav"
+    code = run_cli(["generate", "--dist", "npd", "--n", "30", "--m", "1000000", "--seed", "1", "--out", str(out)])
+    assert code == 2
+    message = f"needs {(1 << 30) * 10**6 * 8} bytes, more than the {physical} bytes of physical memory"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_refuses_an_empty_out_dir_before_writing(tmp_path, capsys, monkeypatch):
+    # an empty out_dir used to write the whole run into the current directory
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(pipeline_config(""))
+    assert run_cli(["pipeline", "--config", str(cfg)]) == 2
+    assert "config key out_dir: must not be empty" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["p.cfg"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--dist", "npd", "--n", "4", "--m", "2", "--seed", "1", "--out", ""],
+    ["solve", "--table", ""],
+    ["label", "--table", "t.ucav", "--kappa", "1", "--pairs", "1", "--seed", "1", "--out", ""],
+    ["train", "--data", "", "--out", "m.ucam"],
+    ["train", "--data", "d.ucad", "--out", "m.ucam", "--trace", ""],
+    ["rollout", "--table", "t.ucav", "--estimator", "neural", "--model", "", "--evals", "1"],
+    ["bench", "--experiment", "probability", "--config", "", "--out-dir", "out"],
+    ["bench", "--experiment", "probability", "--config", "b.cfg", "--out-dir", ""],
+    ["pipeline", "--config", ""],
+], ids=["out", "table", "label-out", "data", "trace", "model", "config", "out-dir", "pipeline-config"])
+def test_every_path_flag_refuses_an_empty_value(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 2
+    flag = argv[argv.index("") - 1]
+    assert f"argument {flag}: must not be empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rollout_refuses_repeated_checkpoint(tmp_path, capsys):

@@ -40,7 +40,9 @@ def test_sample_extremes():
 
 
 def test_sample_uniform_over_subsets_and_labelings():
-    # one record per call, as a one-record caller draws
+    # one record per call, as a one-record caller draws; the band is the
+    # binomial sd times the normal quantile that keeps the chance of any of
+    # the 20 subset and 8 labeling cells falsely failing below 1e-6
     rng = np.random.default_rng(42)
     draws = 100_000
     subset_counts = Counter()
@@ -54,17 +56,18 @@ def test_sample_uniform_over_subsets_and_labelings():
         if s.assigned_mask == fixed_subset:
             labeling_counts[s.labels] += 1
     n_subsets = math.comb(6, 3)
+    z = statistics.NormalDist().inv_cdf(1 - 1e-6 / (2 * (n_subsets + 8)))
     assert len(subset_counts) == n_subsets
     p = 1.0 / n_subsets
     sigma = math.sqrt(p * (1 - p) / draws)
     for count in subset_counts.values():
-        assert abs(count / draws - p) < 3 * sigma
+        assert abs(count / draws - p) <= z * sigma
     per_subset = sum(labeling_counts.values())
     q = 1.0 / 8  # 2^3 labelings of a fixed 3-subset
     sigma_q = math.sqrt(q * (1 - q) / per_subset)
     assert len(labeling_counts) == 8
     for count in labeling_counts.values():
-        assert abs(count / per_subset - q) < 3 * sigma_q
+        assert abs(count / per_subset - q) <= z * sigma_q
 
 
 def test_batched_sampler_is_uniform_at_each_level():

@@ -1,6 +1,7 @@
 """The labelling of `tools/paired_bench.py` on fixed numbers, without running
-the benchmark."""
+the benchmark, and its runs from fresh bytecode on stand-in checkouts."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -35,3 +36,35 @@ def test_a_spread_within_the_bound_is_resolved_whatever_the_change_reads():
     assert not paired_bench.unresolved(NARROW, [0.2, 0.3, 0.05, 0.1], 0.25, LOWER)
     # the same spread is wider than a 2% bound
     assert paired_bench.unresolved(NARROW, [0.2, 0.3, 0.05, 0.1], 0.02, LOWER)
+
+
+# A stand-in for perfbench/run.py: logs whether ucalab's bytecode is present,
+# then writes some, as an import with bytecode writing on would.
+FAKE_RUN = """
+import json, pathlib
+cache = pathlib.Path("src/ucalab/__pycache__")
+with open("runs.log", "a") as log:
+    log.write(f"{cache.exists()}\\n")
+cache.mkdir(parents=True, exist_ok=True)
+(cache / "core.cpython.pyc").write_bytes(b"")
+print("rounds=3")
+print(json.dumps({"failed": 0, "attempted": 1, "metrics": {"wall_s": {"value": 1.0}}}))
+"""
+
+
+def test_every_run_starts_without_bytecode_under_src(tmp_path, capsys):
+    sides = {}
+    for side in ("base", "change"):
+        checkout = tmp_path / side
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (checkout / "src" / "ucalab" / "__pycache__").mkdir(parents=True)
+        (checkout / "src" / "ucalab" / "core.py").write_text("")
+        sides[side] = checkout
+    args = argparse.Namespace(pairs=2, seed=1, seconds=1.0, trace=0)
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}], "per_layer": []}
+    assert paired_bench.compare(sides, args, "w", spec) == ([], [])
+    for checkout in sides.values():
+        assert (checkout / "runs.log").read_text().split() == ["False", "False"]
+        assert (checkout / "src" / "ucalab" / "core.py").exists()
+    assert "src_pycache=removed_before_each_run" in capsys.readouterr().out

@@ -151,6 +151,14 @@ def test_best_of_n_validates_checkpoints():
         best_of_n(table, Estimator.random(), 10, [11], rng)
     with pytest.raises(ValueError):
         best_of_n(table, Estimator.random(), 0, [], rng)
+    # 2.5 and 9.9 used to be recorded as checkpoints 2 and 9
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="checkpoints must be integers, got 2.5, 9.9"):
+        best_of_n(table, Estimator.random(), 10, [2.5, 9.9], rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="checkpoints must be integers, got nan"):
+        search.checked_checkpoints(10, [1, float("nan")])
+    assert search.checked_checkpoints(10, [2.0, np.int64(5), 10]) == [2, 5, 10]
 
 
 def test_neural_estimator_dimension_check():

@@ -178,3 +178,10 @@ def test_generators_peak_below_one_and_a_half_tables(generate, expression, param
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * table.values.nbytes
+
+
+@pytest.mark.parametrize("generate, params", [(generate_npd, NpdParams()), (generate_trap, TrapParams())])
+def test_generators_refuse_a_table_over_physical_memory_before_drawing(generate, params):
+    # 2^30 * 10^6 float64 entries: refused by size, so nothing is allocated
+    with pytest.raises(ValueError, match=rf"n=30, m=1000000 needs {(1 << 30) * 10**6 * 8} bytes, more than the \d+ "):
+        generate(ProblemSpec(30, 10**6, seed=1), params)

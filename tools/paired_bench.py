@@ -5,7 +5,10 @@
 BASE and CHANGE are repository checkouts (for example `git archive` of the
 parent commit, and the working tree). For each --workload in turn, pair i
 runs both on seed --seed + i, one run at a time; the order alternates between
-pairs, so a slow or fast phase of the machine lands on both sides. For each
+pairs, so a slow or fast phase of the machine lands on both sides. Before
+every run the (gitignored) __pycache__ directories under the checkout's src/
+are removed, so both sides import ucalab as a fresh checkout does, whether or
+not bytecode writing is on. For each
 metric the script prints the median and interquartile range (IQR) of each
 side, the relative change of the medians, and how many pairs the change won,
 in the direction that BENCHMARK.json gives the metric (lower is better when
@@ -22,6 +25,7 @@ is only read. Exits 1 when any run fails or reports failed checks.
 import argparse
 import json
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -31,8 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, int]:
-    """The metrics and round count of one perfbench run, refused when it fails
-    or a check fails."""
+    """The metrics and round count of one perfbench run from a checkout without
+    bytecode under src/, refused when it fails or a check fails."""
+    for cache in sorted((checkout / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -78,7 +84,7 @@ def compare(sides: dict, args, workload: str, spec: dict) -> tuple[list[str], li
         print(f"{workload}: pair {i + 1}/{args.pairs} done (seed {args.seed + i})", file=sys.stderr)
 
     print(f"workload={workload} pairs={args.pairs} seeds={args.seed}..{args.seed + args.pairs - 1} "
-          f"seconds={args.seconds} trace={args.trace} "
+          f"seconds={args.seconds} trace={args.trace} src_pycache=removed_before_each_run "
           f"rounds base={statistics.median(rounds['base']):g} change={statistics.median(rounds['change']):g}")
     print(f"{'metric':34} {'base median [IQR]':>26} {'change median [IQR]':>26} {'change':>8} {'won':>6}")
     worse, undecided = [], []
