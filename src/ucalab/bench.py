@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ValueTable
+from .core import ValueTable, checked_integers
 from .dataset import label_levels
 from .exact import BudgetExceededError, DEFAULT_NODE_BUDGET, solve_exact
 from .search import Estimator, best_of_n, checked_checkpoints
@@ -110,7 +110,7 @@ def prediction_error_report(
     """
     if samples_per_level < 1:
         raise ValueError("samples_per_level must be at least 1")
-    levels = [int(k) for k in levels]
+    levels = checked_integers(levels, "levels")
     pairs = label_levels(table, levels, samples_per_level, rng, node_budget)
     scatter = [(pair.target, float(predictor(pair.assignment))) for pair in pairs]
     errors = np.array([true - predicted for true, predicted in scatter]).reshape(len(levels), samples_per_level)

@@ -32,7 +32,9 @@ from .bench import (
     write_prediction_report,
 )
 from .core import FormatError, ProblemSpec, ValueTable
-from .dataset import DatasetConfig, build_dataset, check_levels, load_dataset, save_dataset, split_dataset, split_sizes
+from .dataset import (
+    DatasetConfig, build_dataset, check_levels, check_storable, load_dataset, save_dataset, split_dataset, split_sizes,
+)
 from .exact import BudgetExceededError, DEFAULT_NODE_BUDGET, solve_exact
 from .neural import MlpModel, TrainConfig, TrainingDivergedError, check_fits, grid_search, predict_value_to_go, train
 from .search import ESTIMATOR_KINDS, Estimator, best_of_n, checked_checkpoints
@@ -121,7 +123,9 @@ def _generator(dist: str, n: int, params) -> tuple:
 
 
 def _label(table: ValueTable, cfg: DatasetConfig, budget: int, path) -> list:
-    """Label a dataset of `table` exactly and save it to `path`."""
+    """Label a dataset of `table` exactly and save it to `path`; an m that the
+    dataset format cannot store is refused before labeling."""
+    check_storable(table.m)
     pairs = build_dataset(ProblemSpec(table.n, table.m, table.seed), table, cfg, node_budget=budget)
     save_dataset(path, pairs, table.n, table.m, cfg.kappa)
     return pairs
@@ -308,6 +312,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
     TrainConfig(c.learning_rate, c.batch_size, c.epochs)
     checked_checkpoints(c.evals, c.checkpoints)
     if "neural" in c.estimators:
+        check_storable(c.m)
         check_levels(c.n, c.m, range(1, c.kappa + 1), c.pairs_per_level, c.node_budget)
         n_train, n_test = split_sizes(c.kappa * c.pairs_per_level, c.split_fraction)
         if not (n_train and n_test):

@@ -139,6 +139,15 @@ class ValueTable:
             raise FormatError(f"{path}: {exc}") from exc
 
 
+def checked_integers(values, what: str) -> list[int]:
+    """`values` as ints; every non-integral value (1.5, NaN, inf) is refused by name."""
+    values = list(values)
+    fractional = [v for v in values if not (isinstance(v, (int, np.integer)) or float(v).is_integer())]
+    if fractional:
+        raise ValueError(f"{what} must be integers, got {', '.join(map(str, fractional))}")
+    return [int(v) for v in values]
+
+
 @dataclass(frozen=True)
 class PartialAssignment:
     """Per-element alternative labels; UNASSIGNED marks free elements.
@@ -167,12 +176,7 @@ class PartialAssignment:
 
     @staticmethod
     def from_labels(labels) -> "PartialAssignment":
-        if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
-            return PartialAssignment(tuple(labels.tolist()))
-        labels = tuple(labels)
-        if not all(isinstance(x, (int, np.integer)) or float(x).is_integer() for x in labels):
-            raise ValueError(f"labels must be integers, got {', '.join(map(str, labels))}")
-        return PartialAssignment(tuple(int(x) for x in labels))
+        return PartialAssignment(tuple(checked_integers(labels, "labels")))
 
     @property
     def n(self) -> int:
@@ -193,6 +197,11 @@ class PartialAssignment:
                 raise ValueError(f"label {lab} at element {j} exceeds m={m}")
             index[lab] += m << j
         return np.array(index, dtype=np.int64)
+
+
+def assignments(labels: np.ndarray) -> list[PartialAssignment]:
+    """One PartialAssignment per row of an integer (R, n) label array, each from one zipped tuple of ints."""
+    return [PartialAssignment(row) for row in zip(*labels.T.tolist())]
 
 
 def value_of(assignment: PartialAssignment, table: ValueTable) -> float:

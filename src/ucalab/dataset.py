@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DATASET_FORMAT, MAX_ELEMENTS, FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable, value_of,
+    DATASET_FORMAT, MAX_ELEMENTS, FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable, assignments,
+    value_of,
 )
 from .exact import DEFAULT_NODE_BUDGET, BudgetExceededError, dfs_node_count, exact_value_to_go
 
@@ -83,14 +84,10 @@ def label_levels(
     """
     levels = list(levels)
     check_levels(table.n, table.m, levels, per_level, node_budget)
-    pairs: list[LabeledPair] = []
-    # one tuple per record from the label columns; the draws are freed first
-    for labels in zip(*sample_partial_labels(table.n, table.m, levels, per_level, rng).T.tolist()):
-        assignment = PartialAssignment(labels)
-        current = value_of(assignment, table)
-        target = exact_value_to_go(assignment, table, node_budget=node_budget)
-        pairs.append(LabeledPair(assignment, current, target))
-    return pairs
+    return [
+        LabeledPair(a, value_of(a, table), exact_value_to_go(a, table, node_budget=node_budget))
+        for a in assignments(sample_partial_labels(table.n, table.m, levels, per_level, rng))
+    ]
 
 
 def build_dataset(
@@ -141,16 +138,21 @@ def _nonfinite(records: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(np.isfinite(records["current_value"]) & np.isfinite(records["target"])))
 
 
+def check_storable(m: int) -> None:
+    """Refuse an m above 255: a UCAD label byte of 255 reads back as unassigned."""
+    if m > _UNASSIGNED_BYTE:
+        raise ValueError(f"m={m} exceeds {_UNASSIGNED_BYTE}, the most alternatives a label byte can hold")
+
+
 def save_dataset(path: str | Path, pairs: list[LabeledPair], n: int, m: int, kappa: int) -> None:
     """Write records in the UCAD format: header n, m, kappa, count, then
     per record: u32 assigned mask, n label bytes (255 = unassigned), f64
-    current value, f64 target. m above 255 is refused, since a label of 255
-    would read back as unassigned; so is a record without n labels, with
-    a label at or above m, or with a non-finite current value or target."""
-    if m > _UNASSIGNED_BYTE:
-        raise ValueError(f"m={m} exceeds {_UNASSIGNED_BYTE}, the most alternatives a label byte can hold")
+    current value, f64 target. Refuses an m that `check_storable` refuses, a
+    record without n labels or with a label at or above m, and a non-finite
+    current value or target."""
+    check_storable(m)
     try:
-        labels = np.array([pair.assignment.labels for pair in pairs], dtype=np.int16).reshape(len(pairs), n)
+        labels = np.array([pair.assignment.labels for pair in pairs], dtype=np.int64).reshape(len(pairs), n)
     except ValueError as exc:
         raise ValueError("record dimension does not match dataset header") from exc
     if (labels >= m).any():
@@ -192,14 +194,7 @@ def load_dataset(path: str | Path) -> tuple[list[LabeledPair], int, int, int]:
     bad = _nonfinite(records)
     if len(bad):
         raise FormatError(f"{path}: record {bad[0]}: non-finite current value or target")
-    labels = records["labels"].astype(np.int16)
-    labels[~assigned] = UNASSIGNED
-    currents = records["current_value"].tolist()
-    targets = records["target"].tolist()
-    # zip over the label columns yields each record's labels as one tuple,
-    # without a transient list per record
-    pairs = [
-        LabeledPair(PartialAssignment(row), current, target)
-        for row, current, target in zip(zip(*labels.T.tolist()), currents, targets)
-    ]
+    labels = np.where(assigned, records["labels"], np.int16(UNASSIGNED))
+    currents, targets = records["current_value"].tolist(), records["target"].tolist()
+    pairs = [LabeledPair(a, current, target) for a, current, target in zip(assignments(labels), currents, targets)]
     return pairs, n, m, kappa

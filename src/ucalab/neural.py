@@ -260,7 +260,7 @@ def forward(model: MlpModel, x) -> float | np.ndarray:
 
 def _encode_batch(model: MlpModel, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Inputs and standardized targets of `pairs`, encoded as one label array."""
-    labels = np.array([pair.assignment.labels for pair in pairs], dtype=np.int16)
+    labels = np.array([pair.assignment.labels for pair in pairs], dtype=np.int64)
     X = _encode(labels, np.array([pair.current_value for pair in pairs]), model.m, model.value_norm)
     tmean, tstd = model.target_norm
     return X, (np.array([pair.target for pair in pairs]) - tmean) / tstd

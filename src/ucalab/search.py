@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNASSIGNED, PartialAssignment, ValueTable, value_of
+from .core import UNASSIGNED, PartialAssignment, ValueTable, assignments, checked_integers, value_of
 from .neural import MlpModel, check_fits, forward
 
 ESTIMATOR_KINDS = ("current", "random", "neural")
@@ -111,7 +111,7 @@ def _lockstep_labels(table: ValueTable, estimator: Estimator, count: int, rng: n
 
 def greedy_rollout(table: ValueTable, estimator: Estimator, rng: np.random.Generator) -> PartialAssignment:
     """One complete assignment built greedily under the estimator."""
-    return PartialAssignment.from_labels(_lockstep_labels(table, estimator, 1, rng)[0])
+    return assignments(_lockstep_labels(table, estimator, 1, rng))[0]
 
 
 def checked_checkpoints(n_evals: int, checkpoints) -> list[int]:
@@ -119,11 +119,7 @@ def checked_checkpoints(n_evals: int, checkpoints) -> list[int]:
     in 1..n_evals."""
     if n_evals < 1:
         raise ValueError("n_evals must be at least 1")
-    checkpoints = list(checkpoints)
-    fractional = [c for c in checkpoints if not (isinstance(c, (int, np.integer)) or float(c).is_integer())]
-    if fractional:
-        raise ValueError(f"checkpoints must be integers, got {', '.join(map(str, fractional))}")
-    checkpoints = [int(c) for c in checkpoints]
+    checkpoints = checked_integers(checkpoints, "checkpoints")
     if any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly ascending")
     if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n_evals):
@@ -148,8 +144,7 @@ def best_of_n(
     ci = 0
     for start in range(0, n_evals, ROLLOUT_BLOCK):
         block = _lockstep_labels(table, estimator, min(ROLLOUT_BLOCK, n_evals - start), rng)
-        for evaluation, labels in enumerate(block, start + 1):
-            assignment = PartialAssignment.from_labels(labels)
+        for evaluation, assignment in enumerate(assignments(block), start + 1):
             val = value_of(assignment, table)
             if val > best_value:
                 best_value = val

@@ -57,6 +57,12 @@ def test_value_sampling_refuses_zero_samples_before_drawing(sample, monkeypatch)
         sample(npd_table(4, 2, 0), np.random.default_rng(0))
 
 
+def test_histogram_refuses_zero_bins_before_drawing(monkeypatch):
+    monkeypatch.setattr(bench, "_sampled_values", None)
+    with pytest.raises(ValueError, match="bins must be at least 1"):
+        value_histogram(npd_table(4, 2, 0), 100, 0, np.random.default_rng(0))
+
+
 def test_histogram_counts_sum_to_samples():
     table = npd_table(6, 3, 3)
     edges, counts = value_histogram(table, 5000, 24, np.random.default_rng(4))
@@ -186,6 +192,30 @@ def test_prediction_report_budget_error():
         prediction_error_report(stub, table, [6], 100, np.random.default_rng(13), node_budget=1000)
 
 
+@pytest.mark.parametrize("levels, per_level, message", [
+    # levels 1.5 and 2.9 used to be labeled and reported as levels 1 and 2
+    ([1.5, 2.9], 5, "levels must be integers, got 1.5, 2.9"),
+    ([1, 2.0, float("nan")], 5, "levels must be integers, got nan"),
+    ([1, 2], 0, "samples_per_level must be at least 1"),
+], ids=["fractional-levels", "nan-level", "zero-samples"])
+def test_prediction_report_refuses_bad_levels_before_labeling(monkeypatch, levels, per_level, message):
+    monkeypatch.setattr(bench, "label_levels", None)
+    rng = np.random.default_rng(15)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        prediction_error_report(lambda s: 0.0, npd_table(5, 2, 14), levels, per_level, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_prediction_report_takes_integral_levels_of_any_type():
+    table = npd_table(5, 2, 14)
+    stub = lambda s: 0.0  # noqa: E731
+    as_ints = prediction_error_report(stub, table, [1, 2], 4, np.random.default_rng(16))
+    as_floats = prediction_error_report(stub, table, np.array([1.0, 2.0]), 4, np.random.default_rng(16))
+    assert as_floats == as_ints
+    assert [type(row.unassigned) for row in as_floats.rows] == [int, int]
+
+
 def test_prediction_report_files(tmp_path):
     table = npd_table(5, 2, 14)
     stub = lambda s: 1.0  # noqa: E731
@@ -260,6 +290,11 @@ def test_curves_csv_deterministic_and_marker(tmp_path):
     p3 = tmp_path / "c.csv"
     write_curves_report(no_opt, p3)
     assert "# optimum unavailable at this scale" in p3.read_text()
+
+
+def test_curves_refuse_an_empty_table_list():
+    with pytest.raises(ValueError, match="at least one value table is required"):
+        benchmark_curves([], {"current": []}, 5, [5], master_seed=6)
 
 
 def test_curves_estimator_instance_count_validated():

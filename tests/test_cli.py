@@ -314,6 +314,32 @@ def pipeline_config(out_dir, extra=""):
     return "".join(f"{key}={value}\n" for key, value in config.items())
 
 
+def test_pipeline_refuses_a_missing_config_file(tmp_path, capsys):
+    assert run_cli(["pipeline", "--config", str(tmp_path / "absent.cfg")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_pipeline_without_neural_accepts_more_than_255_alternatives(tmp_path, capsys):
+    # only a dataset needs a label byte; tables and curves take any m
+    out_dir = tmp_path / "run"
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(pipeline_config(out_dir, "n=2\nm=256\nkappa=1\ninstances=1\nestimators=current,random\n"))
+    assert run_cli(["pipeline", "--config", str(cfg)]) == 0
+    assert not any((out_dir / "datasets").iterdir())
+    assert (out_dir / "curves" / "curves_npd.csv").exists()
+
+
+def test_label_refuses_a_table_whose_labels_a_byte_cannot_hold_before_labeling(tmp_path, capsys, monkeypatch):
+    # m=300 used to label every record before the dataset writer refused it
+    monkeypatch.setattr(cli, "build_dataset", None)
+    table_path, out = tmp_path / "wide.ucav", tmp_path / "wide.ucad"
+    ValueTable(2, 256, np.zeros((4, 256))).save(table_path)
+    argv = ["label", "--table", str(table_path), "--kappa", "1", "--pairs", "5", "--seed", "1", "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert "m=256 exceeds 255, the most alternatives a label byte can hold" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_missing_key_exit_code(tmp_path, capsys):
     cfg = tmp_path / "p.cfg"
     cfg.write_text("master_seed=1\nn=5\n")
@@ -582,11 +608,13 @@ def test_train_on_dataset_with_out_of_range_label_is_runtime_error(tmp_path, cap
          "split_fraction=0.1 leaves 5 train and 0 test records per dataset; both must be nonempty"),
         # a table over physical memory used to fail allocating, after out_dir and its subdirectories were made
         ("n=30\nm=1000000\n", f"needs {(1 << 30) * 10**6 * 8} bytes, more than the"),
+        # m=300 used to write a table and label a dataset before the dataset writer refused it
+        ("n=2\nm=256\nkappa=1\npairs_per_level=20\n", "m=256 exceeds 255, the most alternatives a label byte can hold"),
     ],
     ids=["misspelt-key", "split-fraction", "unknown-estimator", "checkpoint-beyond-evals", "empty-checkpoints",
          "empty-estimators", "empty-distributions", "unparsable-value", "n-zero", "n-too-large", "m-zero",
          "negative-sigma", "no-instances", "kappa-beyond-n", "repeated-checkpoint", "nan-tau", "nan-learning-rate",
-         "repeated-distribution", "repeated-estimator", "empty-test-split", "table-over-memory"],
+         "repeated-distribution", "repeated-estimator", "empty-test-split", "table-over-memory", "m-over-label-byte"],
 )
 def test_pipeline_refuses_bad_config_before_the_first_stage(tmp_path, capsys, extra, message):
     out_dir = tmp_path / "run"

@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 
 from oracles import bundle_masks, reference_encode
 from ucalab.core import (
+    TABLE_FORMAT,
     FormatError,
     PartialAssignment,
     ProblemSpec,
     UNASSIGNED,
     ValueTable,
+    assignments,
+    checked_integers,
     expand_children,
     value_of,
 )
 from ucalab.dataset import DatasetConfig, LabeledPair, build_dataset, load_dataset, save_dataset
+from ucalab.exact import exact_value_to_go
 from ucalab.neural import MlpModel, encode_input, init_model
 from ucalab.valuegen import NpdParams, generate_npd
 
@@ -87,10 +91,11 @@ def test_value_of_matches_per_element_reaggregation():
 
 def test_value_of_dimension_mismatch():
     table = small_table(3, 2)
-    with pytest.raises(ValueError):
-        value_of(PartialAssignment.empty(4), table)
-    with pytest.raises(ValueError):
-        value_of(PartialAssignment.from_labels([2, UNASSIGNED, UNASSIGNED]), table)
+    for evaluate in (value_of, exact_value_to_go):
+        with pytest.raises(ValueError, match="assignment has 4 elements, table expects 3"):
+            evaluate(PartialAssignment.empty(4), table)
+        with pytest.raises(ValueError, match="label 2 at element 0 exceeds m=2"):
+            evaluate(PartialAssignment.from_labels([2, UNASSIGNED, UNASSIGNED]), table)
 
 
 def test_expand_children_single_alternative():
@@ -112,8 +117,11 @@ def test_expand_children_orders_by_alternative():
 
 def test_expand_children_rejects_assigned_element():
     s = PartialAssignment.from_labels([1, UNASSIGNED])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="element 0 is already assigned"):
         expand_children(s, 0, 2)
+    for element in (-1, 2):
+        with pytest.raises(ValueError, match=f"element {element} out of range"):
+            expand_children(s, element, 2)
 
 
 def test_expand_children_structure_random():
@@ -236,6 +244,17 @@ def test_table_file_rejects_corruption(tmp_path):
         ValueTable.load(truncated)
 
 
+def test_table_load_refuses_impossible_dimensions_and_non_finite_entries(tmp_path):
+    path = tmp_path / "t.ucav"
+    TABLE_FORMAT.write(path, (0, 2, 0))
+    with pytest.raises(FormatError, match="invalid dimensions n=0, m=2"):
+        ValueTable.load(path)
+    TABLE_FORMAT.write(path, (1, 1, 0), np.array([0.5, np.nan], dtype="<f8"))
+    with pytest.raises(FormatError, match="value table contains non-finite entries") as info:
+        ValueTable.load(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_table_file_layout_is_the_documented_one(tmp_path):
     values = np.arange(12.0).reshape(4, 3) - 5.5
     path = tmp_path / "t.ucav"
@@ -294,6 +313,24 @@ def test_from_labels_refuses_non_integral_labels(labels):
     # these used to be truncated to (1, 0, 0)
     with pytest.raises(ValueError, match="labels must be integers"):
         PartialAssignment.from_labels(labels)
+
+
+def test_integer_rule_names_only_the_non_integral_values():
+    assert checked_integers([3, 2.0, np.int8(-1), np.float64(4.0)], "levels") == [3, 2, -1, 4]
+    assert all(type(v) is int for v in checked_integers(np.arange(3, dtype=np.uint8), "levels"))
+    with pytest.raises(ValueError, match=r"^labels must be integers, got 1\.5, nan$"):
+        PartialAssignment.from_labels([0, 1.5, 2, float("nan")])
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint8])
+def test_assignments_are_the_rows_as_tuples_of_python_ints(dtype):
+    labels = np.array([[0, 1, 2], [2, 1, 0], [1, 1, 1], [0, 0, 0]], dtype=dtype)
+    if dtype != np.uint8:
+        labels[1:3, 1] = UNASSIGNED
+    built = assignments(labels)
+    assert built == [PartialAssignment.from_labels(row) for row in labels]
+    assert all(type(label) is int for a in built for label in a.labels)
+    assert assignments(labels[:0]) == []
 
 
 def test_from_labels_accepts_integral_labels_of_any_type():

@@ -169,6 +169,9 @@ def test_config_validation():
     table = npd_table(3, 2, 0)
     with pytest.raises(ValueError):
         build_dataset(spec, table, DatasetConfig(kappa=4, pairs_per_level=1))
+    for other in (ProblemSpec(4, 2, 0), ProblemSpec(3, 3, 0)):
+        with pytest.raises(ValueError, match="problem spec and value table dimensions disagree"):
+            build_dataset(other, table, DatasetConfig(kappa=1, pairs_per_level=1))
 
 
 def test_split_sizes_and_union():
@@ -239,6 +242,15 @@ def test_save_dataset_refuses_labels_that_collide_with_the_sentinel(tmp_path):
     # a label at or above m would be written, then refused by the loader
     with pytest.raises(ValueError, match="m=2"):
         save_dataset(path, [LabeledPair(PartialAssignment.from_labels([3, UNASSIGNED]), 0.5, 1.5)], 2, 2, 1)
+    assert not path.exists()
+
+
+def test_save_dataset_refuses_records_of_another_length(tmp_path):
+    path = tmp_path / "d.ucad"
+    pairs = [LabeledPair(PartialAssignment.from_labels(labels), 0.5, 1.5) for labels in ([0, 1], [0, 1, UNASSIGNED])]
+    for records in (pairs[1:], pairs):
+        with pytest.raises(ValueError, match="record dimension does not match dataset header"):
+            save_dataset(path, records, 2, 2, 1)
     assert not path.exists()
 
 

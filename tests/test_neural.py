@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ucalab import neural
-from ucalab.core import FormatError, PartialAssignment, ProblemSpec
-from ucalab.dataset import DatasetConfig, LabeledPair, build_dataset, split_dataset
+from ucalab.core import MODEL_FORMAT, FormatError, PartialAssignment, ProblemSpec
+from ucalab.dataset import DatasetConfig, LabeledPair, build_dataset, save_dataset, split_dataset
 from ucalab.neural import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -106,6 +106,14 @@ def test_forward_matches_recorded_activation_pattern():
         a = z * (z > 0)
     expected = float((model.weights[-1] @ a + model.biases[-1])[0])
     assert forward(model, x) == pytest.approx(expected, rel=1e-12)
+
+
+def test_forward_refuses_an_input_of_another_width():
+    model = init_model(2, 2, np.random.default_rng(6))
+    with pytest.raises(ValueError, match="input length 4 does not match model width 5"):
+        forward(model, np.zeros(4))
+    with pytest.raises(ValueError, match="input length 6 does not match model width 5"):
+        forward(model, np.zeros((3, 6)))
 
 
 def test_forward_batch_matches_single():
@@ -307,6 +315,50 @@ def test_train_rejects_empty_sets():
         train([], [], TrainConfig(1e-3, 4, 1), 2, 2)
 
 
+def test_loss_and_backward_refuse_an_empty_batch():
+    model = init_model(2, 2, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="loss requires a nonempty batch"):
+        loss(model, [])
+    with pytest.raises(ValueError, match="backward requires a nonempty batch"):
+        backward(model, [])
+
+
+def test_train_standardizes_a_constant_column_with_unit_std():
+    # a zero std would divide by zero; the constant column is centered instead
+    rng = np.random.default_rng(27)
+    pairs = [LabeledPair(pair.assignment, 0.25, 4.0) for pair in make_pairs(2, 2, 20, rng)]
+    model, trace = train(pairs[:16], pairs[16:], TrainConfig(1e-3, 8, 2, seed=28), 2, 2)
+    assert model.value_norm == (0.25, 1.0) and model.target_norm == (4.0, 1.0)
+    assert np.isfinite(trace).all()
+
+
+# a label of 40000 used to overflow the int16 label stack with OverflowError
+_WIDE = [LabeledPair(PartialAssignment.from_labels([40000, -1]), 0.5, 1.5)]
+_ENCODE_REFUSAL = "label 40000 at element 0 exceeds m=2"
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda path: loss(init_model(2, 2, np.random.default_rng(0)), _WIDE), _ENCODE_REFUSAL),
+    (lambda path: backward(init_model(2, 2, np.random.default_rng(0)), _WIDE), _ENCODE_REFUSAL),
+    (lambda path: train(_WIDE, _WIDE, TrainConfig(1e-3, 1, 1), 2, 2), _ENCODE_REFUSAL),
+    (lambda path: grid_search(_WIDE, _WIDE, [1e-3], [1], TrainConfig(1e-3, 1, 1), 2, 2), _ENCODE_REFUSAL),
+    (lambda path: save_dataset(path, _WIDE, 2, 2, 1), "a record has a label at or above m=2"),
+], ids=["loss", "backward", "train", "grid_search", "save_dataset"])
+def test_a_label_beyond_int16_is_refused_by_name(tmp_path, entry, message):
+    path = tmp_path / "d.ucad"
+    with pytest.raises(ValueError, match=message):
+        entry(path)
+    assert not path.exists()
+
+
+def test_grid_search_refuses_an_empty_grid():
+    pairs = make_pairs(2, 2, 10, np.random.default_rng(29))
+    cfg = TrainConfig(1e-3, 8, 1)
+    for lr_grid, batch_grid in (([], [8]), ([1e-3], [])):
+        with pytest.raises(ValueError, match="grids must be nonempty"):
+            grid_search(pairs[:8], pairs[8:], lr_grid, batch_grid, cfg, 2, 2)
+
+
 def test_grid_search_single_cell():
     rng = np.random.default_rng(22)
     pairs = make_pairs(2, 2, 40, rng)
@@ -387,6 +439,17 @@ def test_model_file_rejects_corruption(tmp_path):
         MlpModel.load(short)
 
 
+def test_model_load_refuses_a_truncated_layer_header_and_a_file_without_layers(tmp_path):
+    path = tmp_path / "m.ucam"
+    header = (1, 1, 0.0, 1.0, 0.0, 1.0)
+    MODEL_FORMAT.write(path, header, struct.pack("<I", 2))
+    with pytest.raises(FormatError, match="truncated layer header"):
+        MlpModel.load(path)
+    MODEL_FORMAT.write(path, header)
+    with pytest.raises(FormatError, match="weights and biases must be nonempty and aligned"):
+        MlpModel.load(path)
+
+
 def test_model_file_layout_is_the_documented_one(tmp_path):
     # n=1, m=1: one hidden layer of width 2 on the m*n + 1 = 2 inputs
     W0, b0 = np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([0.25, -0.75])
@@ -418,6 +481,10 @@ def test_model_shape_validation():
         MlpModel(1, 1, [np.zeros((2, 2)), np.zeros((1, 3))], [np.zeros(2), np.zeros(1)])
     with pytest.raises(ValueError):
         MlpModel(1, 1, [np.full((1, 2), np.nan)], [np.zeros(1)])
+    with pytest.raises(ValueError, match="weights and biases must be nonempty and aligned"):
+        MlpModel(1, 1, [np.zeros((2, 2)), np.zeros((1, 2))], [np.zeros(2)])
+    with pytest.raises(ValueError, match="output layer must be scalar"):
+        MlpModel(1, 1, [np.zeros((2, 2))], [np.zeros(2)])
 
 
 def test_predict_value_to_go_zero_model_constant():

@@ -54,12 +54,16 @@ print(json.dumps({"failed": 0, "attempted": 1, "metrics": {"wall_s": {"value": 1
 
 def test_every_run_starts_without_bytecode_under_src(tmp_path, capsys):
     sides = {}
+    # base: 3 + 2 lines of *.py under src/; change: 1 line; neither counts non-*.py files
+    sources = {"base": {"core.py": "a\nb\nc\n", "cli.py": "d\ne\n"}, "change": {"core.py": "a\n"}}
     for side in ("base", "change"):
         checkout = tmp_path / side
         (checkout / "perfbench").mkdir(parents=True)
         (checkout / "perfbench" / "run.py").write_text(FAKE_RUN)
         (checkout / "src" / "ucalab" / "__pycache__").mkdir(parents=True)
-        (checkout / "src" / "ucalab" / "core.py").write_text("")
+        for name, text in sources[side].items():
+            (checkout / "src" / "ucalab" / name).write_text(text)
+        (checkout / "src" / "ucalab" / "notes.txt").write_text("x\ny\n")
         sides[side] = checkout
     args = argparse.Namespace(pairs=2, seed=1, seconds=1.0, trace=0)
     spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}], "per_layer": []}
@@ -67,4 +71,6 @@ def test_every_run_starts_without_bytecode_under_src(tmp_path, capsys):
     for checkout in sides.values():
         assert (checkout / "runs.log").read_text().split() == ["False", "False"]
         assert (checkout / "src" / "ucalab" / "core.py").exists()
-    assert "src_pycache=removed_before_each_run" in capsys.readouterr().out
+    header = capsys.readouterr().out.splitlines()[0]
+    assert "src_pycache=removed_before_each_run" in header
+    assert header.endswith(" src_lines base=5 change=1")

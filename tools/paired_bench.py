@@ -13,7 +13,8 @@ metric the script prints the median and interquartile range (IQR) of each
 side, the relative change of the medians, and how many pairs the change won,
 in the direction that BENCHMARK.json gives the metric (lower is better when
 it names none), then each side's median round count (a run fits more rounds
-into --seconds the faster it is, and peak_rss_mb grows with them). It ends
+into --seconds the faster it is, and peak_rss_mb grows with them) and the
+line count of each side's src/ (every *.py file under it). It ends
 with one line naming every end-to-end metric whose change median is worse
 than the base median by more than its BENCHMARK.json bound, and one naming
 every end-to-end metric left unresolved: the base runs' IQR is wider than
@@ -51,6 +52,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return {name: entry["value"] for name, entry in result["metrics"].items()}, rounds
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of every *.py file under the checkout's src/, counted as wc -l does."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
 
@@ -85,7 +91,8 @@ def compare(sides: dict, args, workload: str, spec: dict) -> tuple[list[str], li
 
     print(f"workload={workload} pairs={args.pairs} seeds={args.seed}..{args.seed + args.pairs - 1} "
           f"seconds={args.seconds} trace={args.trace} src_pycache=removed_before_each_run "
-          f"rounds base={statistics.median(rounds['base']):g} change={statistics.median(rounds['change']):g}")
+          f"rounds base={statistics.median(rounds['base']):g} change={statistics.median(rounds['change']):g} "
+          f"src_lines base={src_lines(sides['base'])} change={src_lines(sides['change'])}")
     print(f"{'metric':34} {'base median [IQR]':>26} {'change median [IQR]':>26} {'change':>8} {'won':>6}")
     worse, undecided = [], []
     for name in runs["base"][0]:
