@@ -7,6 +7,8 @@ heuristic-guided greedy search against current-value and random baselines.
 
 __version__ = "0.1.0"
 
+import types
+
 from .bench import (
     CurvesReport,
     PredictionErrorReport,
@@ -55,49 +57,5 @@ from .search import Estimator, RolloutResult, best_of_n, greedy_rollout
 from .seeding import derive_seed
 from .valuegen import NpdParams, TrapParams, generate_npd, generate_trap, trap_mean
 
-__all__ = [
-    "BudgetExceededError",
-    "CurvesReport",
-    "DEFAULT_NODE_BUDGET",
-    "DatasetConfig",
-    "Estimator",
-    "FormatError",
-    "LabeledPair",
-    "MlpModel",
-    "NpdParams",
-    "PartialAssignment",
-    "PredictionErrorReport",
-    "ProblemSpec",
-    "RolloutResult",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "TrapParams",
-    "UNASSIGNED",
-    "ValueTable",
-    "backward",
-    "benchmark_curves",
-    "best_of_n",
-    "build_dataset",
-    "derive_seed",
-    "encode_input",
-    "estimate_positive_probability",
-    "exact_value_to_go",
-    "expand_children",
-    "forward",
-    "generate_npd",
-    "generate_trap",
-    "greedy_rollout",
-    "grid_search",
-    "init_model",
-    "load_dataset",
-    "loss",
-    "predict_value_to_go",
-    "prediction_error_report",
-    "save_dataset",
-    "solve_exact",
-    "split_dataset",
-    "train",
-    "trap_mean",
-    "value_histogram",
-    "value_of",
-]
+# every public name imported above; the submodules are not names of the API
+__all__ = sorted(k for k, v in globals().items() if not (k.startswith("_") or isinstance(v, types.ModuleType)))

@@ -40,13 +40,13 @@ def _sampled_values(table: ValueTable, count: int, rng: np.random.Generator) -> 
 
 def _value_batches(table: ValueTable, samples: int, rng: np.random.Generator):
     """Values of `samples` uniform complete assignments, in batches of at
-    most MC_BATCH; the sample count is checked before the first draw."""
+    most MC_BATCH rows and MC_BATCH * 16 flat indices (one per bundle), so a
+    batch's memory does not grow with m; the sample count is checked before
+    the first draw."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    return (
-        _sampled_values(table, min(MC_BATCH, samples - start), rng)
-        for start in range(0, samples, MC_BATCH)
-    )
+    batch = max(1, min(MC_BATCH, MC_BATCH * 16 // table.m))
+    return (_sampled_values(table, min(batch, samples - start), rng) for start in range(0, samples, batch))
 
 
 def estimate_positive_probability(table: ValueTable, samples: int, rng: np.random.Generator) -> tuple[float, int]:
@@ -111,6 +111,8 @@ def prediction_error_report(
     if samples_per_level < 1:
         raise ValueError("samples_per_level must be at least 1")
     levels = checked_integers(levels, "levels")
+    if not levels:
+        raise ValueError("at least one level is required")
     pairs = label_levels(table, levels, samples_per_level, rng, node_budget)
     scatter = [(pair.target, float(predictor(pair.assignment))) for pair in pairs]
     errors = np.array([true - predicted for true, predicted in scatter]).reshape(len(levels), samples_per_level)
@@ -155,6 +157,8 @@ def benchmark_curves(
     if not tables:
         raise ValueError("at least one value table is required")
     checkpoints = checked_checkpoints(n_evals, checkpoints)
+    if not checkpoints or not estimators:
+        raise ValueError("at least one checkpoint and one estimator are required")
     for label, insts in estimators.items():
         if len(insts) != len(tables):
             raise ValueError(f"estimator {label!r} needs one instance per table")

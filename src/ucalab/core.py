@@ -5,7 +5,8 @@ tuple of per-alternative bundles is an assignment. Bundles are n-bit masks
 over element indices, and the value function is a dense 2^n x m float64
 table so every bundle lookup is O(1) (84 MB at n=20, m=10). A table is
 refused before it is generated when its 2^n * m * 8 bytes exceed the
-physical memory the OS reports.
+physical memory the OS reports (`check_memory`, which the exact kernel
+also uses).
 """
 
 from __future__ import annotations
@@ -72,6 +73,17 @@ DATASET_FORMAT = BinaryFormat(b"UCAD", "IIIQ")
 MODEL_FORMAT = BinaryFormat(b"UCAM", "IIdddd")
 
 
+# The physical memory the OS reports, read once per process: the exact kernel checks against it on every call.
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(needed: int, what: str) -> None:
+    """Refuse `what`, before it allocates anything, when it needs more than
+    PHYSICAL_MEMORY bytes."""
+    if needed > PHYSICAL_MEMORY:
+        raise ValueError(f"{what} needs {needed} bytes, more than the {PHYSICAL_MEMORY} bytes of physical memory")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Instance dimensions and the master seed used for value generation."""
@@ -90,12 +102,8 @@ class ProblemSpec:
 
     def check_table_memory(self) -> None:
         """Refuse, before anything is allocated, a dense value table larger
-        than the physical memory the OS reports at the time of the check."""
-        needed = (1 << self.n) * self.m * 8
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if needed > physical:
-            raise ValueError(f"a value table with n={self.n}, m={self.m} needs {needed} bytes, "
-                             f"more than the {physical} bytes of physical memory")
+        than physical memory."""
+        check_memory((1 << self.n) * self.m * 8, f"a value table with n={self.n}, m={self.m}")
 
 
 class ValueTable:

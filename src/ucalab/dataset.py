@@ -49,14 +49,16 @@ class LabeledPair:
 
 
 def sample_partial_labels(n: int, m: int, levels, per_level: int, rng: np.random.Generator) -> np.ndarray:
-    """int16 labels of per_level uniform partial assignments per unassigned count
+    """Labels of per_level uniform partial assignments per unassigned count
     u in `levels`, in (level, draw index) order, drawn by two RNG calls: the
-    entries below n-u of a row-wise permutation pick the labeled elements."""
+    entries below n-u of a row-wise permutation pick the labeled elements.
+    Labels are int16, or int64 when m - 1 does not fit int16."""
     if not all(0 <= u <= n for u in levels):
         raise ValueError(f"unassigned counts {list(levels)} must lie in 0..{n}")
     free = np.repeat(np.array(levels, dtype=np.int64), per_level)
     ranks = rng.permuted(np.broadcast_to(np.arange(n, dtype=np.int8), (len(free), n)), axis=1)
-    return np.where(ranks < (n - free)[:, None], rng.integers(0, m, ranks.shape, dtype=np.int16), UNASSIGNED)
+    dtype = np.int16 if m <= 1 << 15 else np.int64
+    return np.where(ranks < (n - free)[:, None], rng.integers(0, m, ranks.shape, dtype=dtype), UNASSIGNED)
 
 
 def check_levels(n: int, m: int, levels, per_level: int, node_budget: int) -> None:

@@ -4,7 +4,8 @@ The value-to-go of a partial assignment is the best total value over all
 m^u completions of its u free elements. Cost is therefore exponential in
 u; callers accept it explicitly through a node budget, counted as the
 nodes of the equivalent depth-first search tree (`dfs_node_count`), and
-the budget check happens before any work.
+the budget check happens before any work, as does the check that the
+search's arrays fit physical memory (`core.check_memory`).
 
 Completions are enumerated flat, in lexicographic label order, as blocks
 of flat table indices: entry (mask, t) is element mask·m + t of
@@ -20,7 +21,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import UNASSIGNED, PartialAssignment, ValueTable
+from .core import UNASSIGNED, PartialAssignment, ValueTable, check_memory
 
 DEFAULT_NODE_BUDGET = 10**8
 BLOCK_COMPLETIONS = 4096
@@ -69,28 +70,40 @@ def _row_sums(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(block.T).sum(axis=1)
 
 
-def _best_completion(values: np.ndarray, start: np.ndarray, bits: list[int], node_budget: int) -> tuple[float, int]:
-    """Best completion value and the lexicographic index of its first occurrence
-    from the bundles' flat indices `start`, refused before any work when the
-    search tree has more than node_budget nodes.
+def _best_completion(table: ValueTable, assignment: PartialAssignment, node_budget: int) -> tuple[float, int]:
+    """Best completion value of `assignment` and the lexicographic index of its
+    first occurrence, refused before any work when the search tree has more
+    than node_budget nodes, or its arrays more bytes than physical memory.
 
     The trailing free elements (half, or as many as fit BLOCK_COMPLETIONS)
-    form the inner block, so memory stays bounded whatever the depth.
+    form the inner block, and the leading ones a prefix table of m^(split+1)
+    indices; each free element also holds an m x m step matrix. A block
+    holds at most m * BLOCK_COMPLETIONS entries, so memory grows with m^2
+    and the prefix table but not with the depth.
     """
-    m, u = len(start), len(bits)
+    m = table.m
+    bits = [1 << e for e, lab in enumerate(assignment.labels) if lab == UNASSIGNED]
+    u = len(bits)
     needed = dfs_node_count(m, u)
     if needed > node_budget:
         raise BudgetExceededError(needed, node_budget, f"depth {u}, branching {m}")
     split = u // 2
     while m ** (u - split) > BLOCK_COMPLETIONS:
         split += 1
-    outer = _flat_indices(start, bits[:split])
+    # step matrices, prefix table and inner block (each with the table it is
+    # built from), then three blocks at once (the next block, its broadcast
+    # buffer and the last block, or a block, its gathered values and their
+    # transposed copy) and two blocks' sums
+    width = min(BLOCK_COMPLETIONS, m**u)
+    entries = u * m * m + 2 * m ** (split + 1) + 2 * m ** (u - split + 1) + 3 * m * width + 2 * width
+    check_memory(8 * entries, f"exact search at depth {u}, branching {m}")
+    outer = _flat_indices(assignment.bundle_indices(m), bits[:split])
     inner = _flat_indices(np.zeros(m, dtype=np.int64), bits[split:])
     per = BLOCK_COMPLETIONS // inner.shape[1]
     best, where = -np.inf, 0
     for s in range(0, outer.shape[1], per):
         block = (outer[:, s : s + per, None] + inner[:, None, :]).reshape(m, -1)
-        leaf = _row_sums(values.reshape(-1).take(block))
+        leaf = _row_sums(table.values.reshape(-1).take(block))
         j = int(leaf.argmax())
         if s == 0 or leaf[j] > best:
             best, where = leaf[j], s * inner.shape[1] + j
@@ -105,8 +118,7 @@ def exact_value_to_go(
     """Best achievable total value over all completions of `assignment`."""
     if assignment.n != table.n:
         raise ValueError(f"assignment has {assignment.n} elements, table expects {table.n}")
-    bits = [1 << e for e, lab in enumerate(assignment.labels) if lab == UNASSIGNED]
-    return _best_completion(table.values, assignment.bundle_indices(table.m), bits, node_budget)[0]
+    return _best_completion(table, assignment, node_budget)[0]
 
 
 def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[PartialAssignment, float]:
@@ -114,6 +126,5 @@ def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tu
 
     Ties resolve to the first optimum in lexicographic label order.
     """
-    n, m = table.n, table.m
-    value, where = _best_completion(table.values, np.arange(m), [1 << e for e in range(n)], node_budget)
-    return PartialAssignment.from_labels(np.unravel_index(where, (m,) * n)), value
+    value, where = _best_completion(table, PartialAssignment.empty(table.n), node_budget)
+    return PartialAssignment.from_labels(np.unravel_index(where, (table.m,) * table.n)), value

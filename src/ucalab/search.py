@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import UNASSIGNED, PartialAssignment, ValueTable, assignments, checked_integers, value_of
-from .neural import MlpModel, check_fits, forward
+from .neural import MlpModel, _encode, check_fits, forward
 
 ESTIMATOR_KINDS = ("current", "random", "neural")
 # The most rollouts run in lockstep at once, so memory does not grow with n_evals.
@@ -65,15 +65,13 @@ def _lockstep_labels(table: ValueTable, estimator: Estimator, count: int, rng: n
 
     Draws come in rollout order (a rollout's element order, then for
     `random` its (n, m) scores), and each neural rollout scores its m
-    children with one `forward` call per step, so each row is bitwise the
-    rollout that the same draws would give when run alone."""
+    children, encoded by the training encoder `_encode`, with one `forward`
+    call per step, so each row is bitwise the rollout that the same draws
+    would give when run alone."""
     n, m = table.n, table.m
     values = table.values
     if estimator.kind == "neural":
         check_fits(estimator.model, table)
-        vmean, vstd = estimator.model.value_norm
-        # batch[r, t] encodes rollout r's child that puts this step's element in bundle t
-        batch = np.zeros((count, m, m * n + 1))
     # the model is checked before the orders are drawn, so a refusal leaves rng untouched
     orders = np.empty((count, n), dtype=np.int64)
     draws = np.empty((count, n, m)) if estimator.kind == "random" else None
@@ -95,17 +93,15 @@ def _lockstep_labels(table: ValueTable, estimator: Estimator, count: int, rng: n
         elif estimator.kind == "random":
             scores = draws[:, step]
         else:
-            slots = cols * n + e[:, None]
-            batch[rows[:, None], cols, slots] = 1.0
-            batch[:, :, m * n] = (child_values - vmean) / vstd
-            scores = np.array([forward(estimator.model, batch[r]) for r in range(count)])
-            batch[rows[:, None], cols, slots] = 0.0
+            # children[r, t] is rollout r with this step's element put in bundle t
+            children = np.repeat(labels[:, None, :], m, axis=1)
+            children[rows[:, None], cols, e[:, None]] = cols
+            inputs = _encode(children.reshape(-1, n), child_values.reshape(-1), m, estimator.model.value_norm)
+            scores = np.array([forward(estimator.model, x) for x in inputs.reshape(count, m, -1)])
         pick = scores.argmax(axis=1)
         labels[rows, e] = pick
         index[rows, pick] += bit * m
         current = child_values[rows, pick]
-        if estimator.kind == "neural":
-            batch[rows, :, pick * n + e] = 1.0
     return labels
 
 

@@ -131,8 +131,8 @@ def write_scatter(
     ylabel: str = "",
 ) -> None:
     """(x, y) points on equal axes, with the y = x diagonal dashed."""
-    xs = [x for x, _ in points] or [0.0]
-    ys = [y for _, y in points] or [0.0]
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
     lo = min(min(xs), min(ys))
     hi = max(max(xs), max(ys))
     lo, hi = padded_range(lo, hi)

@@ -44,6 +44,14 @@ def test_probability_batching_is_seamless(monkeypatch):
     assert a == b
 
 
+@pytest.mark.parametrize("m, rows", [(16, 64), (17, 60), (64, 16)])
+def test_value_batch_rows_shrink_above_16_alternatives(monkeypatch, m, rows):
+    # a batch used to be MC_BATCH rows of m indices each, so its memory grew with m
+    monkeypatch.setattr(bench, "MC_BATCH", 64)
+    sizes = [len(values) for values in bench._value_batches(npd_table(2, m, 7), 150, np.random.default_rng(8))]
+    assert sizes == [rows] * (150 // rows) + [150 % rows]
+
+
 @pytest.mark.parametrize("sample", [
     lambda table, rng: estimate_positive_probability(table, 0, rng),
     lambda table, rng: value_histogram(table, 0, 4, rng),
@@ -197,7 +205,9 @@ def test_prediction_report_budget_error():
     ([1.5, 2.9], 5, "levels must be integers, got 1.5, 2.9"),
     ([1, 2.0, float("nan")], 5, "levels must be integers, got nan"),
     ([1, 2], 0, "samples_per_level must be at least 1"),
-], ids=["fractional-levels", "nan-level", "zero-samples"])
+    # no levels used to give an empty report, which failed only when its SVG was drawn
+    ([], 5, "at least one level is required"),
+], ids=["fractional-levels", "nan-level", "zero-samples", "no-levels"])
 def test_prediction_report_refuses_bad_levels_before_labeling(monkeypatch, levels, per_level, message):
     monkeypatch.setattr(bench, "label_levels", None)
     rng = np.random.default_rng(15)
@@ -292,9 +302,17 @@ def test_curves_csv_deterministic_and_marker(tmp_path):
     assert "# optimum unavailable at this scale" in p3.read_text()
 
 
-def test_curves_refuse_an_empty_table_list():
+def test_curves_refuse_an_empty_table_list(monkeypatch):
     with pytest.raises(ValueError, match="at least one value table is required"):
         benchmark_curves([], {"current": []}, 5, [5], master_seed=6)
+    # no checkpoints or no estimators used to run every rollout and the
+    # optimum, then return no rows, which failed only when the SVG was drawn
+    monkeypatch.setattr(bench, "best_of_n", None)
+    monkeypatch.setattr(bench, "solve_exact", None)
+    tables = [npd_table(5, 2, 73)]
+    for estimators, checkpoints in ((make_estimators(tables), []), ({}, [5])):
+        with pytest.raises(ValueError, match="at least one checkpoint and one estimator are required"):
+            benchmark_curves(tables, estimators, 5, checkpoints, master_seed=6)
 
 
 def test_curves_estimator_instance_count_validated():

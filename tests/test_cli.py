@@ -670,6 +670,17 @@ def test_generate_refuses_a_table_over_physical_memory_before_allocating(tmp_pat
     assert not out.exists()
 
 
+def test_solve_refuses_a_search_over_physical_memory(tmp_path, capsys):
+    # n=1, m=2^20 used to end in numpy's "Unable to allocate 8.00 TiB" traceback and exit 1
+    table_path = tmp_path / "wide.ucav"
+    ValueTable(1, 1 << 20, np.zeros((2, 1 << 20))).save(table_path)
+    assert run_cli(["solve", "--table", str(table_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: exact search at depth 1, branching 1048576 needs \d+ bytes, more than the \d+ "
+                        r"bytes of physical memory\n", captured.err)
+
+
 def test_pipeline_refuses_an_empty_out_dir_before_writing(tmp_path, capsys, monkeypatch):
     # an empty out_dir used to write the whole run into the current directory
     monkeypatch.chdir(tmp_path)

@@ -39,6 +39,20 @@ def test_sample_extremes():
             sample_partial_labels(6, 3, [level], 1, rng)
 
 
+def test_sample_labels_of_any_width():
+    # m = 40000 used to fail with numpy's "high is out of bounds for int16"
+    wide = sample_partial_labels(3, 40_000, [0, 1, 2], 200, np.random.default_rng(23))
+    assert wide.min() >= UNASSIGNED and wide.max() < 40_000
+    # m = 32768 still fits int16, so its draws replay the int16 stream
+    levels, per_level, m = [0, 1, 2], 200, 1 << 15
+    rng = np.random.default_rng(24)
+    free = np.repeat(levels, per_level)
+    ranks = rng.permuted(np.broadcast_to(np.arange(3, dtype=np.int8), (len(free), 3)), axis=1)
+    expected = np.where(ranks < (3 - free)[:, None], rng.integers(0, m, ranks.shape, dtype=np.int16), UNASSIGNED)
+    got = sample_partial_labels(3, m, levels, per_level, np.random.default_rng(24))
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
 def test_sample_uniform_over_subsets_and_labelings():
     # one record per call, as a one-record caller draws; the band is the
     # binomial sd times the normal quantile that keeps the chance of any of

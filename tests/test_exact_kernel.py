@@ -83,3 +83,36 @@ def test_solve_exact_memory_stays_within_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_search_over_physical_memory_is_refused_before_allocating():
+    # n = 1, m = 2^20 used to ask numpy for 8 TiB of step matrices and prefix table
+    table = ValueTable(1, 1 << 20, np.zeros((2, 1 << 20)))
+    tracemalloc.start()
+    try:
+        for search in (solve_exact, lambda t: exact_value_to_go(PartialAssignment.empty(1), t)):
+            with pytest.raises(ValueError, match="exact search at depth 1, branching 1048576 needs .* bytes, more than"):
+                search(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n, m, unassigned", [(1, 300, 1), (7, 4, 7), (7, 4, 6)])
+def test_counted_search_bytes_cover_the_peak(n, m, unassigned):
+    # the memory check counts at least what the search then allocates
+    table = ValueTable(n, m, np.random.default_rng(n * m).normal(size=(1 << n, m)))
+    assignment = PartialAssignment((UNASSIGNED,) * unassigned + (0,) * (n - unassigned))
+    counted = []
+    with mock.patch.object(exact, "check_memory", lambda needed, what: counted.append(needed)):
+        tracemalloc.start()
+        try:
+            if unassigned < n:
+                exact_value_to_go(assignment, table)
+            else:
+                solve_exact(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(counted) == 1 and counted[0] >= peak

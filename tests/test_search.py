@@ -182,10 +182,11 @@ def test_serial_determinism():
 
 @st.composite
 def rollout_runs(draw):
-    """n <= 6, m <= 4, each estimator, and integer (tie-heavy), additive or
-    normal tables; n_evals spans several blocks of the smaller block sizes."""
+    """n <= 6, m <= 10 (rollout-full's width), each estimator, and integer
+    (tie-heavy), additive or normal tables; n_evals spans several blocks of
+    the smaller block sizes."""
     n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["integer", "additive", "normal"]))
     if shape == "integer":
