@@ -1,9 +1,9 @@
 """Experiment harness: Monte Carlo value statistics, prediction-error
 reports, and best-of-N benchmark curves with CSV/SVG output.
 
-All CSV output is deterministic for a fixed master seed: rollouts run
-serially, and each (estimator, instance) pair draws from its own derived
-seed.
+All CSV output is deterministic for a fixed master seed: each (estimator,
+instance) pair draws from its own derived seed, and its rollouts run in
+lockstep blocks that keep each rollout's draws in rollout order.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -210,8 +211,8 @@ def cmd_rollout(args) -> int:
 
 
 def read_config(path: str | Path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments are ignored, and a
-    repeated key is refused."""
+    """Flat key=value lines; blank lines and # comments are ignored, and an
+    empty or repeated key is refused."""
     config: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -221,13 +222,12 @@ def read_config(path: str | Path) -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not (equals and key):
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
         if key in config:
             raise ConfigError(f"line {lineno}: repeated config key {key}")
-        config[key] = value.strip()
+        config[key] = value
     return config
 
 
@@ -261,12 +261,12 @@ def cmd_bench(args) -> int:
             raise ConfigError("models is required for the neural estimator and refused for the others")
         if c.models is not None and len(c.models) != len(c.tables):
             raise ConfigError("models must list one model per table")
-        checked_checkpoints(c.evals, c.checkpoints)
+        checkpoints = checked_checkpoints(c.evals, c.checkpoints)
         tables = [ValueTable.load(p) for p in c.tables]
         models = [MlpModel.load(p) for p in c.models or ()]
         for model, table in zip(models, tables):
             check_fits(model, table)
-        _, paths = _curves(tables, c.estimators, models, c.evals, c.checkpoints, c.seed, c.node_budget,
+        _, paths = _curves(tables, c.estimators, models, c.evals, checkpoints, c.seed, c.node_budget,
                            out_dir / "curves.csv")
         print(f"wrote {paths[0]}")
         return 0
@@ -293,7 +293,8 @@ def cmd_bench(args) -> int:
 
 
 def run_pipeline(config: dict[str, str]) -> dict:
-    """generate -> label -> train -> benchmark curves, with derived seeds.
+    """generate -> label -> train -> benchmark curves, with derived seeds;
+    each stage runs over every instance of a distribution before the next.
 
     Returns the manifest; artifacts and manifest.json land in out_dir.
     The whole config is checked before out_dir is created: a bad key or value
@@ -310,7 +311,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
     generators = [(dist, *_generator(dist, c.n, vars(c))) for dist in c.distributions]
     dataset_cfg = DatasetConfig(c.kappa, c.pairs_per_level)
     TrainConfig(c.learning_rate, c.batch_size, c.epochs)
-    checked_checkpoints(c.evals, c.checkpoints)
+    checkpoints = checked_checkpoints(c.evals, c.checkpoints)
     if "neural" in c.estimators:
         check_storable(c.m)
         check_levels(c.n, c.m, range(1, c.kappa + 1), c.pairs_per_level, c.node_budget)
@@ -331,59 +332,55 @@ def run_pipeline(config: dict[str, str]) -> dict:
         manifest["seeds"][label] = seed = derive_seed(c.master_seed, label)
         return seed
 
-    def note_file(path: Path) -> None:
-        manifest["files"][str(path.relative_to(out_dir))] = hashlib.sha256(path.read_bytes()).hexdigest()
+    written: list[Path] = []
+
+    def artifact(path: Path) -> Path:
+        """`path`, to be hashed into the manifest once every stage has run."""
+        written.append(path)
+        return path
+
+    @contextmanager
+    def stage(label: str):
+        """Time one stage, which runs over every instance, into the manifest."""
+        t0 = time.perf_counter()
+        yield
+        manifest["timings_s"][label] = round(time.perf_counter() - t0, 3)
 
     for dist, generate, params in generators:
-        t0 = time.perf_counter()
-        tables: list[ValueTable] = []
-        for i in range(c.instances):
-            table = generate(ProblemSpec(c.n, c.m, stage_seed(f"table/{dist}/{i}")), params)
-            path = out_dir / "tables" / f"{dist}_{i}.ucav"
-            table.save(path)
-            note_file(path)
-            tables.append(table)
-        manifest["timings_s"][f"generate/{dist}"] = round(time.perf_counter() - t0, 3)
+        with stage(f"generate/{dist}"):
+            tables: list[ValueTable] = []
+            for i in range(c.instances):
+                tables.append(generate(ProblemSpec(c.n, c.m, stage_seed(f"table/{dist}/{i}")), params))
+                tables[i].save(artifact(out_dir / "tables" / f"{dist}_{i}.ucav"))
 
         models: list[MlpModel] = []
         if "neural" in c.estimators:
-            label_s = train_s = 0.0
-            for i, table in enumerate(tables):
-                t0 = time.perf_counter()
-                cfg = replace(dataset_cfg, seed=stage_seed(f"dataset/{dist}/{i}"))
-                ds_path = out_dir / "datasets" / f"{dist}_{i}.ucad"
-                pairs = _label(table, cfg, c.node_budget, ds_path)
-                note_file(ds_path)
-                label_s += time.perf_counter() - t0
+            with stage(f"label/{dist}"):
+                datasets = [_label(table, replace(dataset_cfg, seed=stage_seed(f"dataset/{dist}/{i}")),
+                                   c.node_budget, artifact(out_dir / "datasets" / f"{dist}_{i}.ucad"))
+                            for i, table in enumerate(tables)]
 
-                t0 = time.perf_counter()
-                model_path = out_dir / "models" / f"{dist}_{i}.ucam"
-                trace_path = out_dir / "models" / f"{dist}_{i}_trace.csv"
-                _, model, trace, steps = _fit(
-                    pairs, c.n, c.m, c.split_fraction, stage_seed(f"split/{dist}/{i}"),
-                    [c.learning_rate], [c.batch_size], c.epochs, stage_seed(f"train/{dist}/{i}"), model_path,
-                    trace_path,
-                )
-                manifest["train"][f"{dist}/{i}"] = {
-                    "adam_steps": steps,
-                    "final_train_loss": trace[-1][1],
-                    "final_test_loss": trace[-1][2],
-                }
-                note_file(model_path)
-                note_file(trace_path)
-                models.append(model)
-                train_s += time.perf_counter() - t0
-            manifest["timings_s"][f"label/{dist}"] = round(label_s, 3)
-            manifest["timings_s"][f"train/{dist}"] = round(train_s, 3)
+            with stage(f"train/{dist}"):
+                for i, pairs in enumerate(datasets):
+                    _, model, trace, steps = _fit(
+                        pairs, c.n, c.m, c.split_fraction, stage_seed(f"split/{dist}/{i}"), [c.learning_rate],
+                        [c.batch_size], c.epochs, stage_seed(f"train/{dist}/{i}"),
+                        artifact(out_dir / "models" / f"{dist}_{i}.ucam"),
+                        artifact(out_dir / "models" / f"{dist}_{i}_trace.csv"),
+                    )
+                    _, train_loss, test_loss = trace[-1]
+                    manifest["train"][f"{dist}/{i}"] = {
+                        "adam_steps": steps, "final_train_loss": train_loss, "final_test_loss": test_loss}
+                    models.append(model)
 
-        t0 = time.perf_counter()
-        report, paths = _curves(tables, c.estimators, models, c.evals, c.checkpoints, stage_seed(f"bench/{dist}"),
-                                c.node_budget, out_dir / "curves" / f"curves_{dist}.csv", dist)
-        manifest["optimum"][dist] = report.optimum_mean
-        for path in paths:
-            note_file(path)
-        manifest["timings_s"][f"bench/{dist}"] = round(time.perf_counter() - t0, 3)
+        with stage(f"bench/{dist}"):
+            report, paths = _curves(tables, c.estimators, models, c.evals, checkpoints, stage_seed(f"bench/{dist}"),
+                                    c.node_budget, out_dir / "curves" / f"curves_{dist}.csv", dist)
+            manifest["optimum"][dist] = report.optimum_mean
+            written += paths
 
+    for path in written:
+        manifest["files"][str(path.relative_to(out_dir))] = hashlib.sha256(path.read_bytes()).hexdigest()
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"pipeline complete: {manifest_path}")

@@ -192,9 +192,8 @@ def _encode(labels: np.ndarray, current_values: np.ndarray, m: int, value_norm: 
     label matrix flattened row-major (alternative i, element j at i*n + j),
     then its standardized current value."""
     rows, n = labels.shape
-    bad = np.argwhere(labels >= m)
-    if len(bad):
-        r, j = bad[0]
+    if (labels >= m).any():
+        r, j = np.argwhere(labels >= m)[0]
         raise ValueError(f"label {labels[r, j]} at element {j} exceeds m={m}")
     X = np.empty((rows, m * n + 1))
     X[:, : m * n] = (labels[:, None, :] == np.arange(m)[:, None]).reshape(rows, m * n)

@@ -283,9 +283,11 @@ def test_read_config_parsing(tmp_path):
     cfg.write_text("# comment\n\nkey = value\nn=10\n")
     parsed = read_config(cfg)
     assert parsed == {"key": "value", "n": "10"}
-    cfg.write_text("not a pair\n")
-    with pytest.raises(ValueError, match="key=value"):
-        read_config(cfg)
+    # an empty key is not a key=value line either
+    for line in ("not a pair", "=3", " = "):
+        cfg.write_text(f"n=10\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 2: expected key=value, got {line.strip()!r}")):
+            read_config(cfg)
 
 
 PIPELINE_CONFIG = """
@@ -446,14 +448,21 @@ def test_train_diverged_is_runtime_error(tmp_path, capsys):
     assert not model_path.exists()
 
 
-def test_pipeline_manifest_records_label_and_train_layers(tmp_path, capsys):
+def write_tiny_config(tmp_path, learning_rate="1e-3"):
+    """A two-instance npd pipeline config writing to tmp_path/tiny; returns
+    the config path and out_dir."""
     out_dir = tmp_path / "tiny"
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(
         "master_seed=5\nn=5\nm=2\nkappa=2\npairs_per_level=20\nepochs=3\n"
-        "learning_rate=1e-3\nbatch_size=8\ninstances=2\nevals=5\ncheckpoints=5\n"
+        f"learning_rate={learning_rate}\nbatch_size=8\ninstances=2\nevals=5\ncheckpoints=5\n"
         f"out_dir={out_dir}\ndistributions=npd\n"
     )
+    return cfg, out_dir
+
+
+def test_pipeline_manifest_records_label_and_train_layers(tmp_path, capsys):
+    cfg, out_dir = write_tiny_config(tmp_path)
     assert run_cli(["pipeline", "--config", str(cfg)]) == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert {"label/npd", "train/npd", "generate/npd", "bench/npd"} <= set(manifest["timings_s"])
@@ -467,6 +476,18 @@ def test_pipeline_manifest_records_label_and_train_layers(tmp_path, capsys):
         assert last[0] == "3"
         assert record["final_train_loss"] == float(last[1])
         assert record["final_test_loss"] == float(last[2])
+
+
+def test_pipeline_labels_every_instance_before_training_diverges(tmp_path, capsys):
+    # every dataset is written before the first model trains, so a run whose
+    # first training diverges leaves both datasets and no model or manifest
+    cfg, out_dir = write_tiny_config(tmp_path, learning_rate="1e200")
+    assert run_cli(["pipeline", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: training diverged at epoch 1")
+    assert (out_dir / "datasets" / "npd_0.ucad").exists() and (out_dir / "datasets" / "npd_1.ucad").exists()
+    assert list((out_dir / "models").iterdir()) == []
+    assert not (out_dir / "manifest.json").exists()
 
 
 def test_train_split_outside_unit_interval_is_usage_error(tmp_path, capsys):
