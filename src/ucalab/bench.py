@@ -105,7 +105,7 @@ def prediction_error_report(
     `predictor` maps a partial assignment to a predicted value-to-go (for
     a trained network, `neural.predict_value_to_go` bound to its model and
     table). Records are sampled and labeled by `dataset.label_levels`, which
-    checks every level's exact labeling cost against the node budget before
+    checks every level's exact labeling cost against the budget before
     sampling.
     """
     if samples_per_level < 1:
@@ -151,7 +151,7 @@ def benchmark_curves(
 
     `estimators` maps a label to one Estimator per table (neural heuristics
     are instance-specific). The exact optimum line is included when the
-    instance size fits the node budget; otherwise optimum_mean is None and
+    instance size fits the budget; otherwise optimum_mean is None and
     the caller should surface that explicitly.
     """
     if not tables:

@@ -298,7 +298,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
 
     Returns the manifest; artifacts and manifest.json land in out_dir.
     The whole config is checked before out_dir is created: a bad key or value
-    raises a ValueError naming it, and labeling over the node budget raises
+    raises a ValueError naming it, and labeling over the budget raises
     BudgetExceededError.
     """
     c = _parse_config(config, PIPELINE_KEYS)
@@ -417,6 +417,8 @@ COMMANDS = {
         "config": (_path, REQUIRED)}),
 }
 FLAG_HELP = {
+    "budget": "work units the exact search may use, refused up front: flat completions, or subset-DP updates "
+              "(including a solve's descent) where the DP runs (default %(default)s)",
     "tau": "trap threshold (default n/2)", "trace": "trace CSV path (default training_trace.csv next to model)",
 }
 

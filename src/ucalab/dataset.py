@@ -3,9 +3,10 @@
 A dataset holds (assignment, current value, value-to-go) records sampled
 level by level: for each unassigned count u in 1..kappa, the same number
 of uniformly random partial assignments, each labeled by exhaustive
-search. Labeling one record costs m^u node visits, which is why kappa
-stays small and every level's cost is checked against a node budget
-before the first draw.
+search. Labeling one record with u free elements costs the work units of
+the exact kernel that runs it (`exact.value_to_go_units`: m^u completions,
+or about (m - 2)·3^u DP updates), which is why kappa stays small and every
+level's cost is checked against a budget before the first draw.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .core import (
     DATASET_FORMAT, MAX_ELEMENTS, FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable, assignments,
     value_of,
 )
-from .exact import DEFAULT_NODE_BUDGET, BudgetExceededError, dfs_node_count, exact_value_to_go
+from .exact import DEFAULT_NODE_BUDGET, BudgetExceededError, exact_value_to_go, value_to_go_units
 
 _UNASSIGNED_BYTE = 255
 
@@ -63,11 +64,12 @@ def sample_partial_labels(n: int, m: int, levels, per_level: int, rng: np.random
 
 def check_levels(n: int, m: int, levels, per_level: int, node_budget: int) -> None:
     """Refuse a level outside 1..n, and a level whose per_level exact labels
-    would exceed the node budget (BudgetExceededError)."""
+    would exceed the budget (BudgetExceededError), each priced on the kernel
+    that will label it."""
     for unassigned in levels:
         if not 1 <= unassigned <= n:
             raise ValueError(f"level {unassigned} out of range for n={n}")
-        level_cost = per_level * dfs_node_count(m, unassigned)
+        level_cost = per_level * value_to_go_units(m, unassigned)
         if level_cost > node_budget:
             raise BudgetExceededError(level_cost, node_budget, f"level with {unassigned} unassigned")
 

@@ -1,113 +1,342 @@
-"""Exhaustive computation of exact optima and value-to-go.
+"""Exact optima and value-to-go, by one of two exhaustive kernels.
 
 The value-to-go of a partial assignment is the best total value over all
-m^u completions of its u free elements. Cost is therefore exponential in
-u; callers accept it explicitly through a node budget, counted as the
-nodes of the equivalent depth-first search tree (`dfs_node_count`), and
-the budget check happens before any work, as does the check that the
-search's arrays fit physical memory (`core.check_memory`).
+m^u completions of its u free elements, each summed in bundle order as
+numpy's `.sum(axis=1)` sums a completion row of the flat-enumeration
+oracles, so results are bitwise equal to them. Two kernels compute it:
 
-Completions are enumerated flat, in lexicographic label order, as blocks
-of flat table indices: entry (mask, t) is element mask·m + t of
-`values.reshape(-1)`, and putting element e in bundle t adds m·2^e to it.
-Each block is one broadcast add of leading-element prefixes to an inner
-block of the trailing elements, one `take`, and a row sum bitwise equal to
-the `.sum(axis=1)` of the flat-enumeration oracles.
+* flat: every completion is enumerated in lexicographic label order, as
+  blocks of flat table indices. Entry (mask, t) is element mask·m + t of
+  `values.reshape(-1)`, and putting element e in bundle t adds m·2^e to
+  it. Each block is one add of leading-element prefixes to an inner block
+  of the trailing elements into a reused index buffer, one `take` and a
+  row sum. Cost: m^u completions.
+* subset DP (2 <= m <= 7): f_t(S) = max over T ⊆ S of f_{t-1}(S \\ T) + v_t(T),
+  over subsets S of the free elements, where v_t(T) is bundle t's entry
+  with T added to it (Rahwan & Jennings, AAMAS 2008; Präntare & Heintz,
+  JAAMAS 2020). Below 8 entries numpy adds a row in order from +0.0, so
+  starting from v_0 + 0.0 and adding bundles in column order rounds every
+  completion as the row sum does, and as rounding is monotone the best sum
+  is the sum with the best prefix. Cost: (m - 2)·3^u + 2·2^u updates. Wider
+  tables sum rows with eight accumulators, which this DP does not follow,
+  so they stay flat, as do tables of one alternative, which have one
+  completion.
+
+`solve_exact` returns the first optimum in lexicographic label order. On the
+DP it finds it by descent: for each element in index order it keeps the
+first label whose best completion still equals the optimum, and hands the
+last few elements to the flat kernel when that is cheaper.
+
+Each call runs the kernel its modelled time picks (`_flat_time`,
+`_dp_time`), and its budget is that kernel's work units: completions, DP
+updates, or for a solve on the DP both, counting every descent step as if
+it tried m - 1 labels. The budget and the memory check (`core.check_memory`)
+are both made before any work.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .core import UNASSIGNED, PartialAssignment, ValueTable, check_memory
 
-DEFAULT_NODE_BUDGET = 10**8
+DEFAULT_NODE_BUDGET = 2**28
 BLOCK_COMPLETIONS = 4096
+# The DP layer's pair table covers at most this many low free elements (3^9
+# pairs); higher elements are looped over in Python, one block of pairs each.
+LOW_BITS = 9
+# numpy sums a row of fewer than 8 entries in order, which the DP follows.
+DP_MAX_ALTERNATIVES = 7
+# Elements numpy's iterator buffers per operand, read once per process.
+_UFUNC_BUFFER = np.getbufsize()
+# Row T holds the bits of T: which of up to LOW_BITS free elements subset T holds.
+_SUBSET_BITS = (np.arange(1 << LOW_BITS)[:, None] >> np.arange(LOW_BITS)) & 1
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a search would visit more nodes than the caller allowed."""
+    """Raised when a search would do more work than the caller allowed."""
 
     def __init__(self, needed: int, budget: int, context: str = "") -> None:
         where = f" ({context})" if context else ""
-        super().__init__(f"search needs {needed} nodes, budget is {budget}{where}")
+        super().__init__(f"search needs {needed} work units, budget is {budget}{where}")
 
 
-def dfs_node_count(m: int, depth: int) -> int:
-    """Nodes in a full m-ary tree of the given depth (root included)."""
-    if m == 1:
-        return depth + 1
-    return (m ** (depth + 1) - 1) // (m - 1)
+def _dp_updates(m: int, u: int) -> int:
+    """DP work units: the first and last layers take 2^u updates each, every
+    layer between them one per pair T ⊆ S, 3^u."""
+    return max(m - 2, 0) * 3**u + min(m, 2) * 2**u
 
 
-@cache
+# Modelled kernel times in microseconds, fitted to timings on a 2-core VM
+# (CHANGES.md has the table): a per-call part, a part per free element or DP
+# layer, and a part per table entry read or per DP update.
+def _flat_time(m: int, u: int) -> float:
+    return 7 + 2.5 * u + 0.0024 * m ** (u + 1)
+
+
+def _dp_time(m: int, u: int) -> float:
+    return 8 + 2.6 * max(m - 2, 0) + 0.5 * u + 0.004 * _dp_updates(m, u)
+
+
+@lru_cache(maxsize=1024)
+def _value_plan(m: int, u: int) -> tuple[bool, int]:
+    """Whether a value-to-go with u free elements runs on the DP, and its
+    work units on the kernel that runs it."""
+    if 2 <= m <= DP_MAX_ALTERNATIVES and _dp_time(m, u) < _flat_time(m, u):
+        return True, _dp_updates(m, u)
+    return False, m**u
+
+
+def value_to_go_units(m: int, u: int) -> int:
+    """Work units of one value-to-go with u free elements, on the kernel the
+    cost rule picks for it."""
+    return _value_plan(m, u)[1]
+
+
+@lru_cache(maxsize=256)
+def _solve_plan(m: int, n: int) -> tuple[int, int]:
+    """How `solve_exact` runs on an n-element table: the number of trailing
+    elements the flat kernel solves (n: no DP at all), and the work units,
+    counting m - 1 tried labels per descent step, each modelled with about
+    10 us of Python around its DP."""
+    best = (_flat_time(m, n), n, m**n)
+    if 2 <= m <= DP_MAX_ALTERNATIVES:
+        time, units = _dp_time(m, n), _dp_updates(m, n)
+        for rest in range(n - 1, -1, -1):
+            time += (m - 1) * (10 + _dp_time(m, rest))
+            units += (m - 1) * _dp_updates(m, rest)
+            best = min(best, (time + _flat_time(m, rest), rest, units + m**rest))
+    return best[1], best[2]
+
+
+def _flat_bytes(m: int, u: int) -> int:
+    """Bytes the flat kernel holds at once: the steps of each free element
+    (with the identity each is built from, above 16 alternatives), the prefix
+    table and the inner block (each with the table it is built from), the
+    index and value buffers (and the values' transposed copy from 8
+    alternatives on), the sums, and the two buffers numpy's iterator takes
+    for the broadcast add (_UFUNC_BUFFER elements each at most)."""
+    split = _split(m, u)
+    width = min(BLOCK_COMPLETIONS, m**u)
+    copies = 3 if m >= 8 else 2
+    buffers = 2 * min(_UFUNC_BUFFER, m * width)
+    return 8 * ((u + 1) * m * m + 2 * m ** (split + 1) + 2 * m ** (u - split + 1) + copies * m * width + buffers + width)
+
+
+def _dp_bytes(m: int, u: int) -> int:
+    """Bytes the DP holds at once: subset offsets, the (m, 2^u) indices and
+    entries, two layers and the last layer's sums; the pair table over
+    `low` elements while it is built (about 8·3^low) or in use with two
+    pair-length buffers, and the per-group maxima."""
+    low = min(u, LOW_BITS)
+    return 8 * ((2 * m + 4) * 2**u + 10 * 3**low + 4 * 2**low)
+
+
+def _check(units: int, node_budget: int, nbytes: int, m: int, u: int) -> None:
+    """Refuse a search over budget, or one whose arrays, plus 64 KiB for
+    Python objects and small arrays, exceed physical memory."""
+    if units > node_budget:
+        raise BudgetExceededError(units, node_budget, f"depth {u}, branching {m}")
+    check_memory(nbytes + 2**16, f"exact search at depth {u}, branching {m}")
+
+
+def _split(m: int, u: int) -> int:
+    """Leading free elements in the flat kernel's prefix table: half, or as
+    many as leave at most BLOCK_COMPLETIONS completions in the inner block."""
+    split = u // 2
+    while m ** (u - split) > BLOCK_COMPLETIONS:
+        split += 1
+    return split
+
+
 def _bundle_steps(m: int, bit: int) -> np.ndarray:
-    """The (m, m, 1) flat-index steps of putting element `bit` in each bundle,
-    read-only, since every caller shares them."""
+    """The (m, m, 1) flat-index steps of putting element `bit` in each bundle:
+    m·bit on the diagonal. Read-only, since cached steps are shared."""
     steps = (np.eye(m, dtype=np.int64) * (m * bit))[:, :, None]
     steps.setflags(write=False)
     return steps
+
+
+# Building the steps costs about as much as the rest of a one-element search,
+# so they are kept for tables of up to 16 alternatives, at most 2 KiB for each
+# of 16 x 30 (m, element) pairs; wider tables build them per call, so nothing
+# of a wide search stays allocated after it.
+_small_bundle_steps = cache(_bundle_steps)
 
 
 def _flat_indices(start: np.ndarray, bits: list[int]) -> np.ndarray:
     """Flat indices of every completion of `start`, one column each, in
     lexicographic label order (bits[0] slowest). Each bit is added as the new
     slowest digit, so numpy's inner loop runs along the long axis."""
+    m = len(start)
+    steps = _small_bundle_steps if m <= 16 else _bundle_steps
     cols = start[:, None]
     for bit in reversed(bits):
-        cols = (_bundle_steps(len(start), bit) + cols[:, None, :]).reshape(len(start), -1)
+        cols = (steps(m, bit) + cols[:, None, :]).reshape(m, -1)
     return cols
 
 
-def _row_sums(block: np.ndarray) -> np.ndarray:
+def _row_sums(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Column totals of an (m, R) block, bitwise `.sum(axis=1)` of its C-ordered
     transpose: numpy adds fewer than 8 entries in order from 0.0, as the sum
     over axis 0 does, and more pairwise, which needs the C-ordered copy."""
     if len(block) < 8:
-        return block.sum(axis=0)
-    return np.ascontiguousarray(block.T).sum(axis=1)
+        return block.sum(axis=0, out=out)
+    return np.ascontiguousarray(block.T).sum(axis=1, out=out)
 
 
-def _best_completion(table: ValueTable, assignment: PartialAssignment, node_budget: int) -> tuple[float, int]:
-    """Best completion value of `assignment` and the lexicographic index of its
-    first occurrence, refused before any work when the search tree has more
-    than node_budget nodes, or its arrays more bytes than physical memory.
+def _flat_search(values: np.ndarray, start: np.ndarray, bits: list[int]) -> tuple[float, int]:
+    """Best completion value of the bundles `start` (flat indices) over the
+    free `bits`, and the lexicographic index of its first occurrence. Blocks
+    of at most BLOCK_COMPLETIONS completions share one index, one value and
+    one sum array, so memory grows with m and the prefix table but not with
+    the depth."""
+    m, u = len(start), len(bits)
+    split = _split(m, u)
+    outer = _flat_indices(start, bits[:split])
+    inner = _flat_indices(np.zeros(m, dtype=np.int64), bits[split:])
+    cols, width = outer.shape[1], inner.shape[1]
+    per = min(BLOCK_COMPLETIONS // width, cols)
+    flat = values.reshape(-1)
+    best, where = -np.inf, 0
+    for s in range(0, cols, per):
+        if s == 0:
+            # the first block allocates the index, value and sum arrays; the
+            # later ones write into them
+            index = outer[:, :per, None] + inner[:, None, :]
+            leaf = flat.take(index.reshape(m, -1))
+            sums = _row_sums(leaf)
+        else:
+            if cols - s < per:
+                per = cols - s
+                index, leaf, sums = index[:, :per], leaf[:, : per * width], sums[: per * width]
+            np.add(outer[:, s : s + per, None], inner[:, None, :], out=index)
+            # the indices are in range by construction, and "clip" writes
+            # into `leaf` directly where the default mode would buffer
+            flat.take(index.reshape(m, -1), out=leaf, mode="clip")
+            _row_sums(leaf, out=sums)
+        j = int(sums.argmax())
+        if s == 0 or sums[j] > best:
+            best, where = sums[j], s * width + j
+    return float(best), where
 
-    The trailing free elements (half, or as many as fit BLOCK_COMPLETIONS)
-    form the inner block, and the leading ones a prefix table of m^(split+1)
-    indices; each free element also holds an m x m step matrix. A block
-    holds at most m * BLOCK_COMPLETIONS entries, so memory grows with m^2
-    and the prefix table but not with the depth.
-    """
+
+@cache
+def _subset_pairs(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair T ⊆ S of subsets of `bits` elements as index arrays
+    (S \\ T, T), grouped by S in ascending order, and each group's start.
+    T is the rank j within its group with j's bits dealt out over S's set
+    bits. Only bits <= LOW_BITS is asked for, so the cache stays bounded."""
+    sets = np.arange(1 << bits)
+    widths = 1 << np.bitwise_count(sets).astype(np.intp)
+    starts = np.zeros(len(sets), dtype=np.intp)
+    np.cumsum(widths[:-1], out=starts[1:])
+    s = np.repeat(sets, widths)
+    j = np.arange(len(s)) - np.repeat(starts, widths)
+    t = np.zeros_like(s)
+    for b in range(bits):
+        has = (s >> b) & 1
+        t |= (j & has) << b
+        j >>= has
+    return s ^ t, t, starts
+
+
+def _dp_layer(f: np.ndarray, v: np.ndarray, u: int) -> np.ndarray:
+    """g(S) = max over T ⊆ S of f(S \\ T) + v(T), for every subset S of u
+    elements. Above LOW_BITS elements, S and T split into high and low
+    parts, and each (high S, high T ⊆ high S) pair is one pass over the low
+    pair table, maxed into g's block of high S."""
+    low = min(u, LOW_BITS)
+    rest, part, starts = _subset_pairs(low)
+    if low == u:
+        sums = f.take(rest)
+        sums += v.take(part)
+        return np.maximum.reduceat(sums, starts)
+    size = 1 << low
+    f, v = f.reshape(-1, size), v.reshape(-1, size)
+    g = np.empty_like(f)
+    sums, other, best = np.empty(len(rest)), np.empty(len(rest)), np.empty(size)
+    for high in range(len(g)):
+        sub = high
+        while True:
+            np.take(f[high ^ sub], rest, out=sums)
+            np.take(v[sub], part, out=other)
+            np.add(sums, other, out=sums)
+            if sub == high:
+                np.maximum.reduceat(sums, starts, out=g[high])
+            else:
+                np.maximum.reduceat(sums, starts, out=best)
+                np.maximum(g[high], best, out=g[high])
+            if sub == 0:
+                break
+            sub = (sub - 1) & high
+    return g.reshape(-1)
+
+
+def _dp_value(values: np.ndarray, start: np.ndarray, bits: list[int]) -> float:
+    """Best completion value of the bundles `start` (flat indices) over the
+    free `bits`, by the subset DP; bitwise the flat kernel's for m <= 7."""
+    m, u = len(start), len(bits)
+    # T's flat-index offset m * (sum of T's bits), T in binary order: one
+    # product per LOW_BITS free elements, the later ones the slower digits
+    weights = m * np.array(bits, dtype=np.int64)
+    width = _SUBSET_BITS.shape[1]
+    offsets = _SUBSET_BITS[: 1 << min(u, width), : min(u, width)] @ weights[:width]
+    for low in range(width, u, width):
+        chunk = weights[low : low + width]
+        offsets = ((_SUBSET_BITS[: 1 << len(chunk), : len(chunk)] @ chunk)[:, None] + offsets).reshape(-1)
+    # the row sum starts from +0.0: adding it turns -0.0 entries into +0.0,
+    # which bundle 0 needs and later bundles do not notice, as a partial sum
+    # from +0.0 is never -0.0
+    v = values.take(start[:, None] + offsets)
+    v += 0.0
+    f = v[0]
+    for t in range(1, m - 1):
+        f = _dp_layer(f, v[t], u)
+    if m == 1:
+        return float(f[-1])
+    # the last bundle takes the complement of S, which reverses the order
+    return float((f[::-1] + v[-1]).max())
+
+
+def _solve(values: np.ndarray, m: int, n: int, finish: int) -> tuple[list[int], float]:
+    """First optimal labels in lexicographic order, and the optimum. Unless
+    finish == n, the DP gives the optimum and a descent fixes the leading
+    elements; the flat kernel returns the first best completion of the last
+    `finish` elements, whose best is the optimum too."""
+    bits = [1 << e for e in range(n)]
+    start = np.arange(m, dtype=np.int64)
+    labels = []
+    if finish < n:
+        value = _dp_value(values, start, bits)
+    for e in range(n - finish):
+        for t in range(m):
+            trial = start.copy()
+            trial[t] += m << e
+            if t == m - 1 or _dp_value(values, trial, bits[e + 1 :]) == value:
+                break
+        start = trial
+        labels.append(t)
+    if finish:
+        value, where = _flat_search(values, start, bits[n - finish :])
+        labels.extend(int(x) for x in np.unravel_index(where, (m,) * finish))
+    return labels, value
+
+
+def _best_completion(table: ValueTable, assignment: PartialAssignment, node_budget: int) -> float:
+    """Best completion value of `assignment`, on the kernel the cost rule
+    picks, refused before any work when that kernel's work units exceed
+    node_budget or its arrays physical memory."""
     m = table.m
     bits = [1 << e for e, lab in enumerate(assignment.labels) if lab == UNASSIGNED]
     u = len(bits)
-    needed = dfs_node_count(m, u)
-    if needed > node_budget:
-        raise BudgetExceededError(needed, node_budget, f"depth {u}, branching {m}")
-    split = u // 2
-    while m ** (u - split) > BLOCK_COMPLETIONS:
-        split += 1
-    # step matrices, prefix table and inner block (each with the table it is
-    # built from), then three blocks at once (the next block, its broadcast
-    # buffer and the last block, or a block, its gathered values and their
-    # transposed copy) and two blocks' sums
-    width = min(BLOCK_COMPLETIONS, m**u)
-    entries = u * m * m + 2 * m ** (split + 1) + 2 * m ** (u - split + 1) + 3 * m * width + 2 * width
-    check_memory(8 * entries, f"exact search at depth {u}, branching {m}")
-    outer = _flat_indices(assignment.bundle_indices(m), bits[:split])
-    inner = _flat_indices(np.zeros(m, dtype=np.int64), bits[split:])
-    per = BLOCK_COMPLETIONS // inner.shape[1]
-    best, where = -np.inf, 0
-    for s in range(0, outer.shape[1], per):
-        block = (outer[:, s : s + per, None] + inner[:, None, :]).reshape(m, -1)
-        leaf = _row_sums(table.values.reshape(-1).take(block))
-        j = int(leaf.argmax())
-        if s == 0 or leaf[j] > best:
-            best, where = leaf[j], s * inner.shape[1] + j
-    return float(best), where
+    dp, units = _value_plan(m, u)
+    _check(units, node_budget, _dp_bytes(m, u) if dp else _flat_bytes(m, u), m, u)
+    if dp:
+        return _dp_value(table.values, assignment.bundle_indices(m), bits)
+    return _flat_search(table.values, assignment.bundle_indices(m), bits)[0]
 
 
 def exact_value_to_go(
@@ -118,7 +347,7 @@ def exact_value_to_go(
     """Best achievable total value over all completions of `assignment`."""
     if assignment.n != table.n:
         raise ValueError(f"assignment has {assignment.n} elements, table expects {table.n}")
-    return _best_completion(table, assignment, node_budget)[0]
+    return _best_completion(table, assignment, node_budget)
 
 
 def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[PartialAssignment, float]:
@@ -126,5 +355,10 @@ def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tu
 
     Ties resolve to the first optimum in lexicographic label order.
     """
-    value, where = _best_completion(table, PartialAssignment.empty(table.n), node_budget)
-    return PartialAssignment.from_labels(np.unravel_index(where, (table.m,) * table.n)), value
+    n, m = table.n, table.m
+    finish, units = _solve_plan(m, n)
+    # a DP solve's flat finish runs while the DP's pair tables stay cached
+    nbytes = _flat_bytes(m, finish) + (_dp_bytes(m, n) if finish < n else 0)
+    _check(units, node_budget, nbytes, m, n)
+    labels, value = _solve(table.values, m, n, finish)
+    return PartialAssignment(tuple(labels)), value

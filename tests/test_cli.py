@@ -380,8 +380,8 @@ def test_pipeline_produces_artifacts_and_is_deterministic(tmp_path, capsys):
 
 
 def test_pipeline_prints_marker_when_optimum_intractable(tmp_path, capsys):
-    # the node budget admits depth-2 labeling (13 nodes per record) but not
-    # the depth-12 exact solve, mirroring full-scale runs
+    # the budget admits depth-2 labeling (17 DP updates per record) but not
+    # the depth-12 exact solve (3^12 completions), mirroring full-scale runs
     out_dir = tmp_path / "big"
     cfg = tmp_path / "big.cfg"
     cfg.write_text(

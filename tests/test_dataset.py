@@ -311,7 +311,7 @@ def test_load_dataset_refuses_impossible_headers_and_labels(tmp_path):
 
 
 def test_over_budget_level_is_refused_before_any_labeling(monkeypatch):
-    # levels 1 and 2 fit the budget; level 3 (1,000 x 85 nodes) does not
+    # levels 1 and 2 fit the budget; level 3 (1,000 x 70 DP updates) does not
     calls = []
     real = exact._best_completion
     monkeypatch.setattr(exact, "_best_completion", lambda *a: calls.append(a) or real(*a))

@@ -9,11 +9,12 @@ from ucalab.core import (
     expand_children,
     value_of,
 )
+from ucalab import exact
 from ucalab.exact import (
     BudgetExceededError,
-    dfs_node_count,
     exact_value_to_go,
     solve_exact,
+    value_to_go_units,
 )
 from ucalab.search import Estimator, greedy_rollout
 from ucalab.valuegen import NpdParams, TrapParams, generate_npd, generate_trap, trap_mean
@@ -104,17 +105,34 @@ def test_solve_exact_dominates_greedy_rollout():
 
 
 def test_budget_checked_before_search():
-    table = npd_table(8, 3, 70)
-    needed = dfs_node_count(3, 8)
-    with pytest.raises(BudgetExceededError):
-        exact_value_to_go(PartialAssignment.empty(8), table, node_budget=needed - 1)
-    with pytest.raises(BudgetExceededError):
-        solve_exact(table, node_budget=10)
-    # exactly enough nodes is accepted
-    assert exact_value_to_go(PartialAssignment.empty(8), table, node_budget=needed) == brute_force_best(table)
+    # (8, 3) labels on the DP and solves flat, (4, 9) runs flat throughout,
+    # (9, 4) labels and solves on the DP
+    for n, m in ((8, 3), (4, 9), (9, 4)):
+        table = npd_table(n, m, 70)
+        empty = PartialAssignment.empty(n)
+        needed = value_to_go_units(m, n)
+        with pytest.raises(BudgetExceededError, match=f"needs {needed} work units, budget is {needed - 1}"):
+            exact_value_to_go(empty, table, node_budget=needed - 1)
+        assert exact_value_to_go(empty, table, node_budget=needed) == brute_force_best(table)
+        needed = exact._solve_plan(m, n)[1]
+        with pytest.raises(BudgetExceededError):
+            solve_exact(table, node_budget=needed - 1)
+        assert solve_exact(table, node_budget=needed)[1] == brute_force_best(table)
 
 
-def test_dfs_node_count():
-    assert dfs_node_count(1, 4) == 5
-    assert dfs_node_count(3, 2) == 1 + 3 + 9
-    assert dfs_node_count(10, 3) == 1111
+def test_work_units_of_each_kernel():
+    # flat: one unit per completion; DP: 2^u for its first and last layers
+    # and 3^u for each layer between them
+    assert value_to_go_units(10, 3) == 1000
+    assert value_to_go_units(7, 2) == 49
+    assert value_to_go_units(1, 9) == 1
+    assert value_to_go_units(4, 6) == 2 * 3**6 + 2 * 2**6
+    assert value_to_go_units(7, 6) == 5 * 3**6 + 2 * 2**6
+    # a solve at n = 7, m = 4 stays flat; at n = 12 it adds m - 1 tried
+    # labels per descent step, then solves the rest flat
+    assert exact._solve_plan(4, 7) == (7, 4**7)
+    finish, units = exact._solve_plan(4, 12)
+    dp = lambda u: 2 * 3**u + 2 * 2**u  # noqa: E731
+    assert 0 < finish < 12
+    assert units == dp(12) + 3 * sum(dp(u) for u in range(finish, 12)) + 4**finish
+    assert exact._solve_plan(8, 5) == (5, 8**5)

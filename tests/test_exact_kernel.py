@@ -1,6 +1,7 @@
-"""Differential tests of the blocked flat-index exact kernel against the
-independent oracle, of its row sums against numpy's, plus a bound on its
-working memory."""
+"""Differential tests of both exact kernels (the blocked flat-index
+enumeration and the subset DP with its descent) against the independent
+oracle, called directly and through the cost rule; of the flat row sums
+against numpy's; and bounds on their working memory."""
 
 import tracemalloc
 from unittest import mock
@@ -10,23 +11,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_completion_values
+from oracles import all_completion_values, bundle_masks
 
 from ucalab import exact
 from ucalab.core import PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable
-from ucalab.exact import _row_sums, exact_value_to_go, solve_exact
+from ucalab.exact import DEFAULT_NODE_BUDGET, _row_sums, exact_value_to_go, solve_exact
 from ucalab.valuegen import NpdParams, generate_npd
 
 
 @st.composite
-def tables(draw):
-    """Tables with m <= 9 and n <= 7, n small enough that m^n <= 4^7; m >= 8
-    takes the pairwise row sum. Small-integer tables make exact ties common."""
-    m = draw(st.integers(1, 9))
+def tables(draw, max_m=9):
+    """Tables with m <= max_m and n <= 7, n small enough that m^n <= 4^7;
+    m >= 8 takes the pairwise row sum. Small-integer tables make exact ties
+    common, and tables of -0.0 make every completion tie at +0.0."""
+    m = draw(st.integers(1, max_m))
     n = draw(st.integers(1, max(k for k in range(1, 8) if m**k <= 4**7)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["normal", "integers", "signed zeros"]))
+    if kind == "integers":
         values = rng.integers(0, 3, size=(1 << n, m)).astype(np.float64)
+    elif kind == "signed zeros":
+        values = np.full((1 << n, m), -0.0)
     else:
         values = rng.normal(size=(1 << n, m))
     return ValueTable(n, m, values)
@@ -116,3 +121,109 @@ def test_counted_search_bytes_cover_the_peak(n, m, unassigned):
         finally:
             tracemalloc.stop()
     assert len(counted) == 1 and counted[0] >= peak
+
+
+def first_optimum(table):
+    """The oracle's best value and its first labels in lexicographic order."""
+    flat = all_completion_values(table, PartialAssignment.empty(table.n))
+    first = np.unravel_index(int(np.argmax(flat)), (table.m,) * table.n)
+    return flat.max(), [int(x) for x in first]
+
+
+def free_bits(assignment):
+    return [1 << e for e, lab in enumerate(assignment.labels) if lab == UNASSIGNED]
+
+
+# Pair tables over fewer low elements than production split the DP's
+# subsets into high and low parts even on small tables.
+low_bits = st.sampled_from([0, 1, 2, exact.LOW_BITS])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), block_sizes, st.data())
+def test_flat_kernel_matches_oracle_bitwise(table, block, data):
+    labels = data.draw(st.lists(st.integers(UNASSIGNED, table.m - 1), min_size=table.n, max_size=table.n))
+    assignment = PartialAssignment.from_labels(labels)
+    flat = all_completion_values(table, assignment)
+    with mock.patch.object(exact, "BLOCK_COMPLETIONS", block):
+        value, where = exact._flat_search(table.values, assignment.bundle_indices(table.m), free_bits(assignment))
+    assert np.float64(value).tobytes() == flat.max().tobytes()
+    assert where == int(np.argmax(flat))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(max_m=exact.DP_MAX_ALTERNATIVES), low_bits, st.data())
+def test_dp_value_matches_oracle_bitwise(table, low, data):
+    labels = data.draw(st.lists(st.integers(UNASSIGNED, table.m - 1), min_size=table.n, max_size=table.n))
+    assignment = PartialAssignment.from_labels(labels)
+    expected = all_completion_values(table, assignment).max()
+    with mock.patch.object(exact, "LOW_BITS", low):
+        value = exact._dp_value(table.values, assignment.bundle_indices(table.m), free_bits(assignment))
+    assert np.float64(value).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(max_m=exact.DP_MAX_ALTERNATIVES), low_bits, st.data())
+def test_dp_descent_returns_the_first_optimum(table, low, data):
+    # finish = 0 is the descent alone, finish = n the flat kernel alone, and
+    # values between hand the tail to the flat kernel
+    finish = data.draw(st.integers(0, table.n))
+    value, first = first_optimum(table)
+    with mock.patch.object(exact, "LOW_BITS", low):
+        labels, got = exact._solve(table.values, table.m, table.n, finish)
+    assert np.float64(got).tobytes() == value.tobytes()
+    assert labels == first
+
+
+@pytest.mark.parametrize("m", [8, 9, 12])
+def test_eight_or_more_alternatives_run_the_flat_kernel(m, monkeypatch):
+    # numpy sums 8 or more entries with eight accumulators, which the DP does not follow
+    def refuse(*args):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(exact, "_dp_value", refuse)
+    table = generate_npd(ProblemSpec(4, m, m), NpdParams(mu=0.0, sigma=1.0))
+    value, first = first_optimum(table)
+    assignment, got = solve_exact(table)
+    assert list(assignment.labels) == first and got == value
+    assert exact_value_to_go(PartialAssignment.empty(4), table) == value
+    assert all(not exact._value_plan(m, u)[0] for u in range(31))
+
+
+def test_planted_optimum_at_fourteen_elements():
+    # entries in [0, 1) and a bonus above m on the m bundles of one
+    # assignment: any other assignment changes at least two of those bundles
+    # and so falls short of it; 4^14 completions are out of the oracle's
+    # reach, and the solve runs under the default budget
+    n, m = 14, 4
+    rng = np.random.default_rng(14)
+    values = rng.random((1 << n, m))
+    planted = PartialAssignment.from_labels(rng.integers(0, m, n))
+    masks = bundle_masks(planted, m)
+    values[masks, np.arange(m)] += m + 1.0
+    table = ValueTable(n, m, values)
+    assignment, value = solve_exact(table)
+    assert assignment == planted
+    expected = table.values[np.array([masks]), np.arange(m)].sum(axis=1)[0]
+    assert np.float64(value).tobytes() == expected.tobytes()
+
+
+def test_default_budget_admits_sixteen_elements_and_refuses_the_paper_scale():
+    assert exact._solve_plan(4, 16)[1] <= DEFAULT_NODE_BUDGET
+    assert exact._solve_plan(10, 20)[1] > DEFAULT_NODE_BUDGET
+
+
+def test_a_wide_search_leaves_nothing_allocated():
+    # the flat kernel's step diagonals used to be cached for every m, so 8 MB
+    # stayed allocated after a search at m = 1000 returned; now only tables of
+    # up to 16 alternatives keep theirs
+    table = ValueTable(1, 1000, np.random.default_rng(0).normal(size=(2, 1000)))
+    tracemalloc.start()
+    try:
+        solve_exact(table)
+        exact_value_to_go(PartialAssignment.empty(1), table)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 8_000_000
+    assert current < 2**16
