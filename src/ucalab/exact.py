@@ -8,9 +8,10 @@ oracles, so results are bitwise equal to them. Two kernels compute it:
 * flat: every completion is enumerated in lexicographic label order, as
   blocks of flat table indices. Entry (mask, t) is element mask·m + t of
   `values.reshape(-1)`, and putting element e in bundle t adds m·2^e to
-  it. Each block is one add of leading-element prefixes to an inner block
-  of the trailing elements into a reused index buffer, one `take` and a
-  row sum. Cost: m^u completions.
+  it. When all completions fit in one block they are one `take` and a row
+  sum; otherwise each block is one add of leading-element prefixes to an
+  inner block of the trailing elements into a reused index buffer, one
+  `take` and a row sum. Cost: m^u completions.
 * subset DP (2 <= m <= 7): f_t(S) = max over T ⊆ S of f_{t-1}(S \\ T) + v_t(T),
   over subsets S of the free elements, where v_t(T) is bundle t's entry
   with T added to it (Rahwan & Jennings, AAMAS 2008; Präntare & Heintz,
@@ -26,6 +27,11 @@ oracles, so results are bitwise equal to them. Two kernels compute it:
 DP it finds it by descent: for each element in index order it keeps the
 first label whose best completion still equals the optimum, and hands the
 last few elements to the flat kernel when that is cheaper.
+
+Both kernels read the table at the bundles' start indices plus offsets that
+depend only on m and the free elements: the flat kernel's completions, or
+the DP's subsets. Offsets of at most PLAN_BYTES are built once and kept in a
+bounded LRU (`_cached_offsets`); larger ones are built per call.
 
 Each call runs the kernel its modelled time picks (`_flat_time`,
 `_dp_time`), and its budget is that kernel's work units: completions, DP
@@ -51,8 +57,11 @@ LOW_BITS = 9
 DP_MAX_ALTERNATIVES = 7
 # Elements numpy's iterator buffers per operand, read once per process.
 _UFUNC_BUFFER = np.getbufsize()
-# Row T holds the bits of T: which of up to LOW_BITS free elements subset T holds.
-_SUBSET_BITS = (np.arange(1 << LOW_BITS)[:, None] >> np.arange(LOW_BITS)) & 1
+# `_cached_offsets` keeps PLANS offset arrays of at most PLAN_BYTES each, with
+# under 1 KiB of Python objects per entry: PLAN_CACHE_BYTES (3.9 MiB) at most.
+PLAN_BYTES = 8192
+PLANS = 448
+PLAN_CACHE_BYTES = PLANS * (PLAN_BYTES + 1024)
 
 
 class BudgetExceededError(RuntimeError):
@@ -69,24 +78,33 @@ def _dp_updates(m: int, u: int) -> int:
     return max(m - 2, 0) * 3**u + min(m, 2) * 2**u
 
 
-# Modelled kernel times in microseconds, fitted to timings on a 2-core VM
-# (CHANGES.md has the table): a per-call part, a part per free element or DP
-# layer, and a part per table entry read or per DP update.
+# Modelled kernel times in microseconds, fitted to warm-cache timings on a
+# 2-core VM (CHANGES.md has the table): a per-call part; a part per free
+# element whose offsets are built per call, or per DP layer; a part per table
+# entry read, or per DP update (more above LOW_BITS elements, where the pair
+# table no longer covers a layer); and for the flat kernel a part per block,
+# and for a search of several blocks a part per alternative, for the block
+# arrays it allocates.
 def _flat_time(m: int, u: int) -> float:
-    return 7 + 2.5 * u + 0.0024 * m ** (u + 1)
+    split = _split(m, u)
+    built = sum(k for k in (split, u - split) if 8 * m ** (k + 1) > PLAN_BYTES)
+    width = m ** (u - split)
+    blocks = -(-(m**u) // (BLOCK_COMPLETIONS // width * width))
+    return 4.6 + 3 * built + 0.0023 * m ** (u + 1) + 0.6 * blocks + (4.7 * m if split else 0)
 
 
 def _dp_time(m: int, u: int) -> float:
-    return 8 + 2.6 * max(m - 2, 0) + 0.5 * u + 0.004 * _dp_updates(m, u)
+    per_update = 0.006 if u > LOW_BITS else 0.0032
+    return 5 + 2.6 * max(m - 2, 0) + per_update * _dp_updates(m, u)
 
 
 @lru_cache(maxsize=1024)
-def _value_plan(m: int, u: int) -> tuple[bool, int]:
-    """Whether a value-to-go with u free elements runs on the DP, and its
-    work units on the kernel that runs it."""
+def _value_plan(m: int, u: int) -> tuple[bool, int, int]:
+    """Whether a value-to-go with u free elements runs on the DP, and the work
+    units and bytes of the kernel that runs it."""
     if 2 <= m <= DP_MAX_ALTERNATIVES and _dp_time(m, u) < _flat_time(m, u):
-        return True, _dp_updates(m, u)
-    return False, m**u
+        return True, _dp_updates(m, u), _dp_bytes(m, u)
+    return False, m**u, _flat_bytes(m, u)
 
 
 def value_to_go_units(m: int, u: int) -> int:
@@ -99,22 +117,23 @@ def value_to_go_units(m: int, u: int) -> int:
 def _solve_plan(m: int, n: int) -> tuple[int, int]:
     """How `solve_exact` runs on an n-element table: the number of trailing
     elements the flat kernel solves (n: no DP at all), and the work units,
-    counting m - 1 tried labels per descent step, each modelled with about
-    10 us of Python around its DP."""
+    counting m - 1 tried labels per descent step. Its time is modelled as
+    5 us of Python per descent step and 0.4·(m - 1) DP calls, the average
+    over npd and trap tables (the first label often keeps the optimum)."""
     best = (_flat_time(m, n), n, m**n)
     if 2 <= m <= DP_MAX_ALTERNATIVES:
         time, units = _dp_time(m, n), _dp_updates(m, n)
         for rest in range(n - 1, -1, -1):
-            time += (m - 1) * (10 + _dp_time(m, rest))
+            time += 5 + 0.4 * (m - 1) * _dp_time(m, rest)
             units += (m - 1) * _dp_updates(m, rest)
             best = min(best, (time + _flat_time(m, rest), rest, units + m**rest))
     return best[1], best[2]
 
 
 def _flat_bytes(m: int, u: int) -> int:
-    """Bytes the flat kernel holds at once: the steps of each free element
-    (with the identity each is built from, above 16 alternatives), the prefix
-    table and the inner block (each with the table it is built from), the
+    """Bytes the flat kernel holds at once: the steps of each free element,
+    the prefix table (with the table it is built from) and the inner block
+    (with the table it is built from and its copy offset by the start), the
     index and value buffers (and the values' transposed copy from 8
     alternatives on), the sums, and the two buffers numpy's iterator takes
     for the broadcast add (_UFUNC_BUFFER elements each at most)."""
@@ -122,7 +141,7 @@ def _flat_bytes(m: int, u: int) -> int:
     width = min(BLOCK_COMPLETIONS, m**u)
     copies = 3 if m >= 8 else 2
     buffers = 2 * min(_UFUNC_BUFFER, m * width)
-    return 8 * ((u + 1) * m * m + 2 * m ** (split + 1) + 2 * m ** (u - split + 1) + copies * m * width + buffers + width)
+    return 8 * ((u + 1) * m * m + 2 * m ** (split + 1) + 3 * m ** (u - split + 1) + copies * m * width + buffers + width)
 
 
 def _dp_bytes(m: int, u: int) -> int:
@@ -143,83 +162,110 @@ def _check(units: int, node_budget: int, nbytes: int, m: int, u: int) -> None:
 
 
 def _split(m: int, u: int) -> int:
-    """Leading free elements in the flat kernel's prefix table: half, or as
-    many as leave at most BLOCK_COMPLETIONS completions in the inner block."""
+    """Leading free elements in the flat kernel's prefix table: none when all
+    m^u completions fit in one block, else half, or as many as leave at most
+    BLOCK_COMPLETIONS completions in the inner block."""
+    if m**u <= BLOCK_COMPLETIONS:
+        return 0
     split = u // 2
     while m ** (u - split) > BLOCK_COMPLETIONS:
         split += 1
     return split
 
 
-def _bundle_steps(m: int, bit: int) -> np.ndarray:
-    """The (m, m, 1) flat-index steps of putting element `bit` in each bundle:
-    m·bit on the diagonal. Read-only, since cached steps are shared."""
-    steps = (np.eye(m, dtype=np.int64) * (m * bit))[:, :, None]
-    steps.setflags(write=False)
-    return steps
-
-
-# Building the steps costs about as much as the rest of a one-element search,
-# so they are kept for tables of up to 16 alternatives, at most 2 KiB for each
-# of 16 x 30 (m, element) pairs; wider tables build them per call, so nothing
-# of a wide search stays allocated after it.
-_small_bundle_steps = cache(_bundle_steps)
-
-
-def _flat_indices(start: np.ndarray, bits: list[int]) -> np.ndarray:
-    """Flat indices of every completion of `start`, one column each, in
-    lexicographic label order (bits[0] slowest). Each bit is added as the new
-    slowest digit, so numpy's inner loop runs along the long axis."""
-    m = len(start)
-    steps = _small_bundle_steps if m <= 16 else _bundle_steps
-    cols = start[:, None]
+def _build_indices(cols: np.ndarray, m: int, free: int, dp: bool) -> np.ndarray:
+    """`cols`, an (m, 1) column of start indices (or a (1, 1) zero for the DP),
+    plus a kernel's offsets for the free elements `free` (a bitmask). The DP's
+    are m·(sum of T's bits) for every subset T in binary order. The flat
+    kernel's are every completion, in lexicographic label order (the lowest
+    element slowest), each element added as the new slowest digit, m·bit on
+    the diagonal of its (m, m, 1) steps, so numpy's inner loop runs along the
+    long axis."""
+    bits = [1 << e for e in range(free.bit_length()) if free >> e & 1]
+    if dp:
+        for bit in bits:
+            cols = np.concatenate([cols, cols + m * bit], axis=1)
+        return cols
     for bit in reversed(bits):
-        cols = (steps(m, bit) + cols[:, None, :]).reshape(m, -1)
+        steps = np.zeros((m, m, 1), dtype=np.int64)
+        steps.reshape(-1)[:: m + 1] = m * bit
+        cols = (steps + cols[:, None, :]).reshape(m, -1)
     return cols
 
 
-def _row_sums(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+# Offsets depend only on (m, free elements, kernel), so those of at most
+# PLAN_BYTES are built once, read-only (the entries are shared), and kept in
+# an LRU of PLANS entries: at most PLAN_CACHE_BYTES = 448 x 9 KiB (3.9 MiB)
+# resident. Larger ones are built per call onto the start indices, as their
+# search costs more than building them, so nothing of it stays allocated.
+@lru_cache(maxsize=PLANS)
+def _cached_offsets(m: int, free: int, dp: bool) -> np.ndarray:
+    offsets = _build_indices(np.zeros((1 if dp else m, 1), dtype=np.int64), m, free, dp)
+    offsets.setflags(write=False)
+    return offsets
+
+
+def _indices(start: np.ndarray, free: int, dp: bool) -> np.ndarray:
+    """The flat indices a kernel reads for the bundles `start` (flat indices)
+    and the free elements `free`: (m, 2^u) for the DP, (m, m^u) for the flat
+    kernel."""
+    m, u = len(start), free.bit_count()
+    if (8 << u if dp else 8 * m ** (u + 1)) <= PLAN_BYTES:
+        return start[:, None] + _cached_offsets(m, free, dp)
+    return _build_indices(start[:, None], m, free, dp)
+
+
+def _row_sums(block: np.ndarray, out: np.ndarray | None = None, buffer: np.ndarray | None = None) -> np.ndarray:
     """Column totals of an (m, R) block, bitwise `.sum(axis=1)` of its C-ordered
     transpose: numpy adds fewer than 8 entries in order from 0.0, as the sum
-    over axis 0 does, and more pairwise, which needs the C-ordered copy."""
+    over axis 0 does, and more pairwise, which needs the C-ordered copy; it is
+    written into `buffer`, an (R, m) array, when one is given."""
     if len(block) < 8:
         return block.sum(axis=0, out=out)
-    return np.ascontiguousarray(block.T).sum(axis=1, out=out)
+    if buffer is None:
+        buffer = np.empty(block.shape[::-1])
+    np.copyto(buffer, block.T)
+    return buffer.sum(axis=1, out=out)
 
 
 def _flat_search(values: np.ndarray, start: np.ndarray, bits: list[int]) -> tuple[float, int]:
     """Best completion value of the bundles `start` (flat indices) over the
-    free `bits`, and the lexicographic index of its first occurrence. Blocks
-    of at most BLOCK_COMPLETIONS completions share one index, one value and
-    one sum array, so memory grows with m and the prefix table but not with
-    the depth."""
-    m, u = len(start), len(bits)
-    split = _split(m, u)
-    outer = _flat_indices(start, bits[:split])
-    inner = _flat_indices(np.zeros(m, dtype=np.int64), bits[split:])
+    free `bits` (ascending), and the lexicographic index of its first
+    occurrence. Blocks of at most BLOCK_COMPLETIONS completions share one
+    index, one value and one sum array (and one transposed copy from 8
+    alternatives on), so memory grows with m and the prefix table but not
+    with the depth."""
+    m = len(start)
+    split = _split(m, len(bits))
+    lead = sum(bits[:split])
+    inner = _indices(start, sum(bits) ^ lead, False)
+    flat = values.reshape(-1)
+    if not split:
+        sums = _row_sums(flat.take(inner))
+        j = int(sums.argmax())
+        return float(sums[j]), j
+    outer = _indices(np.zeros(m, dtype=np.int64), lead, False)
     cols, width = outer.shape[1], inner.shape[1]
     per = min(BLOCK_COMPLETIONS // width, cols)
-    flat = values.reshape(-1)
+    # one index, value and sum array (and transposed copy) for every block,
+    # the last block a contiguous prefix of each
+    size = per * width
+    index, leaf, sums = np.empty(m * size, dtype=np.int64), np.empty(m * size), np.empty(size)
+    buffer = np.empty(m * size) if m >= 8 else None
     best, where = -np.inf, 0
     for s in range(0, cols, per):
-        if s == 0:
-            # the first block allocates the index, value and sum arrays; the
-            # later ones write into them
-            index = outer[:, :per, None] + inner[:, None, :]
-            leaf = flat.take(index.reshape(m, -1))
-            sums = _row_sums(leaf)
-        else:
-            if cols - s < per:
-                per = cols - s
-                index, leaf, sums = index[:, :per], leaf[:, : per * width], sums[: per * width]
-            np.add(outer[:, s : s + per, None], inner[:, None, :], out=index)
-            # the indices are in range by construction, and "clip" writes
-            # into `leaf` directly where the default mode would buffer
-            flat.take(index.reshape(m, -1), out=leaf, mode="clip")
-            _row_sums(leaf, out=sums)
-        j = int(sums.argmax())
-        if s == 0 or sums[j] > best:
-            best, where = sums[j], s * width + j
+        per = min(per, cols - s)
+        size = per * width
+        block = index[: m * size].reshape(m, per, width)
+        np.add(outer[:, s : s + per, None], inner[:, None, :], out=block)
+        # the indices are in range by construction, and "clip" writes into
+        # `leaf` directly where the default mode would buffer
+        block_values = flat.take(block.reshape(m, size), out=leaf[: m * size].reshape(m, size), mode="clip")
+        copy = None if buffer is None else buffer[: m * size].reshape(size, m)
+        block_sums = _row_sums(block_values, out=sums[:size], buffer=copy)
+        j = int(block_sums.argmax())
+        if s == 0 or block_sums[j] > best:
+            best, where = block_sums[j], s * width + j
     return float(best), where
 
 
@@ -279,18 +325,10 @@ def _dp_value(values: np.ndarray, start: np.ndarray, bits: list[int]) -> float:
     """Best completion value of the bundles `start` (flat indices) over the
     free `bits`, by the subset DP; bitwise the flat kernel's for m <= 7."""
     m, u = len(start), len(bits)
-    # T's flat-index offset m * (sum of T's bits), T in binary order: one
-    # product per LOW_BITS free elements, the later ones the slower digits
-    weights = m * np.array(bits, dtype=np.int64)
-    width = _SUBSET_BITS.shape[1]
-    offsets = _SUBSET_BITS[: 1 << min(u, width), : min(u, width)] @ weights[:width]
-    for low in range(width, u, width):
-        chunk = weights[low : low + width]
-        offsets = ((_SUBSET_BITS[: 1 << len(chunk), : len(chunk)] @ chunk)[:, None] + offsets).reshape(-1)
+    v = values.take(_indices(start, sum(bits), True))
     # the row sum starts from +0.0: adding it turns -0.0 entries into +0.0,
     # which bundle 0 needs and later bundles do not notice, as a partial sum
     # from +0.0 is never -0.0
-    v = values.take(start[:, None] + offsets)
     v += 0.0
     f = v[0]
     for t in range(1, m - 1):
@@ -332,11 +370,15 @@ def _best_completion(table: ValueTable, assignment: PartialAssignment, node_budg
     m = table.m
     bits = [1 << e for e, lab in enumerate(assignment.labels) if lab == UNASSIGNED]
     u = len(bits)
-    dp, units = _value_plan(m, u)
-    _check(units, node_budget, _dp_bytes(m, u) if dp else _flat_bytes(m, u), m, u)
+    dp, units, nbytes = _value_plan(m, u)
+    _check(units, node_budget, nbytes, m, u)
+    start = assignment.bundle_indices(m)
     if dp:
-        return _dp_value(table.values, assignment.bundle_indices(m), bits)
-    return _flat_search(table.values, assignment.bundle_indices(m), bits)[0]
+        return _dp_value(table.values, start, bits)
+    if _split(m, u):
+        return _flat_search(table.values, start, bits)[0]
+    # one block, and only its value is asked for, so no argmax
+    return float(_row_sums(table.values.take(_indices(start, sum(bits), False))).max())
 
 
 def exact_value_to_go(

@@ -128,11 +128,12 @@ def test_work_units_of_each_kernel():
     assert value_to_go_units(1, 9) == 1
     assert value_to_go_units(4, 6) == 2 * 3**6 + 2 * 2**6
     assert value_to_go_units(7, 6) == 5 * 3**6 + 2 * 2**6
-    # a solve at n = 7, m = 4 stays flat; at n = 12 it adds m - 1 tried
+    # a solve at n = 5, m = 4 stays flat; from n = 6 it adds m - 1 tried
     # labels per descent step, then solves the rest flat
-    assert exact._solve_plan(4, 7) == (7, 4**7)
-    finish, units = exact._solve_plan(4, 12)
+    assert exact._solve_plan(4, 5) == (5, 4**5)
     dp = lambda u: 2 * 3**u + 2 * 2**u  # noqa: E731
+    assert exact._solve_plan(4, 7) == (4, dp(7) + 3 * sum(dp(u) for u in range(4, 7)) + 4**4)
+    finish, units = exact._solve_plan(4, 12)
     assert 0 < finish < 12
     assert units == dp(12) + 3 * sum(dp(u) for u in range(finish, 12)) + 4**finish
     assert exact._solve_plan(8, 5) == (5, 8**5)

@@ -227,3 +227,89 @@ def test_a_wide_search_leaves_nothing_allocated():
         tracemalloc.stop()
     assert peak > 8_000_000
     assert current < 2**16
+
+
+def evict_every_plan():
+    """Fill the offsets cache with PLANS entries no search asks for (the DP's
+    offsets for m = 1), so every other entry is evicted."""
+    for free in range(exact.PLANS):
+        exact._cached_offsets(1, free, True)
+    assert exact._cached_offsets.cache_info().currsize == exact.PLANS
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.data())
+def test_cold_warm_and_evicted_plans_give_the_oracles_bits(table, data):
+    labels = data.draw(st.lists(st.integers(UNASSIGNED, table.m - 1), min_size=table.n, max_size=table.n))
+    assignment = PartialAssignment.from_labels(labels)
+    expected = all_completion_values(table, assignment).max()
+    optimum, first = first_optimum(table)
+    exact._cached_offsets.cache_clear()
+    # cold, then warm (the same free sets again), then after eviction
+    for state in ("cold", "warm", "evicted"):
+        if state == "evicted":
+            evict_every_plan()
+        value = exact_value_to_go(assignment, table)
+        solved, best = solve_exact(table)
+        assert np.float64(value).tobytes() == expected.tobytes(), state
+        assert np.float64(best).tobytes() == optimum.tobytes(), state
+        assert list(solved.labels) == first, state
+
+
+def test_cached_offsets_are_shared_and_read_only():
+    exact._cached_offsets.cache_clear()
+    for m, free, dp in ((4, 0b1011, False), (4, 0b1011, True), (2, 0b1111111, False), (10, 0b11, False)):
+        for _ in range(2):
+            exact._indices(np.arange(m), free, dp)
+        offsets = exact._cached_offsets(m, free, dp)
+        assert exact._cached_offsets.cache_info()[:4] == (2, 1, exact.PLANS, 1)  # hits, misses, maxsize, size
+        assert not offsets.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[...] = 0
+        exact._cached_offsets.cache_clear()
+    # 4^7 completions take 128 KiB of offsets: built per call, not kept
+    exact._indices(np.arange(4), 0b1111111, False)
+    assert exact._cached_offsets.cache_info().currsize == 0
+
+
+def resident_after(work):
+    """Bytes that `work` leaves allocated, the offsets cache cleared first."""
+    exact._cached_offsets.cache_clear()
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cached_plans_stay_within_the_stated_bound():
+    n, m = 12, 4
+    table = generate_npd(ProblemSpec(n, m, 12), NpdParams(mu=0.0, sigma=1.0))
+    labels = np.random.default_rng(12).integers(0, m, size=(1 << n, n))
+    free = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    labels[free == 1] = UNASSIGNED
+    records = [PartialAssignment(tuple(int(x) for x in row)) for row in labels]
+
+    def label_all():
+        for assignment in records:
+            exact_value_to_go(assignment, table)
+
+    label_all()  # the DP's pair tables stay cached apart from the plans
+    assert resident_after(label_all) <= exact.PLAN_CACHE_BYTES <= 4 * 2**20
+    assert exact._cached_offsets.cache_info().currsize == exact.PLANS
+    # the worst case, whichever kernel labels take: every entry as large as
+    # any kept, the flat kernel's 4^5 offsets of four free elements
+    masks = [mask for mask in range(1 << n) if mask.bit_count() == 4][: exact.PLANS]
+    resident = resident_after(lambda: [exact._cached_offsets(m, mask, False) for mask in masks])
+    assert exact.PLANS * exact.PLAN_BYTES < resident <= exact.PLAN_CACHE_BYTES
+
+
+@pytest.mark.parametrize(
+    "n, m, unassigned", [(1, 300, 1), (7, 4, 7), (7, 4, 6), (7, 4, 4), (5, 10, 4), (10, 4, 10), (10, 3, 9)]
+)
+def test_counted_search_bytes_cover_a_cold_cache_peak(n, m, unassigned):
+    # a cold search also builds the offsets and pair tables it then keeps
+    exact._cached_offsets.cache_clear()
+    exact._subset_pairs.cache_clear()
+    test_counted_search_bytes_cover_the_peak(n, m, unassigned)
