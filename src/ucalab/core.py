@@ -156,17 +156,21 @@ def checked_integers(values, what: str) -> list[int]:
     return [int(v) for v in values]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialAssignment:
     """Per-element alternative labels; UNASSIGNED marks free elements.
 
     `assigned_mask`, the bitmask of labeled elements, is derived from the
     labels on construction. The per-alternative bundles derived from the
-    labels are pairwise disjoint by construction.
+    labels are pairwise disjoint by construction. An assignment built by
+    `assignments` for m alternatives also refers to its row of the batch's
+    bundle start indices, which equality, hashing and repr ignore.
     """
 
     labels: tuple[int, ...]
     assigned_mask: int = field(init=False)
+    _starts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _row: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mask = 0
@@ -196,7 +200,10 @@ class PartialAssignment:
 
     def bundle_indices(self, m: int) -> np.ndarray:
         """Each bundle's flat table index mask·m + t, where `values.reshape(-1)`
-        holds entry (mask, t), as an int64 array of length m."""
+        holds entry (mask, t), as an int64 array of length m: a read-only row of
+        the batch's start indices when `assignments` built them for this m."""
+        if self._starts is not None and self._starts.shape[1] == m:
+            return self._starts[self._row]
         index = list(range(m))
         for j, lab in enumerate(self.labels):
             if lab == UNASSIGNED:
@@ -207,9 +214,58 @@ class PartialAssignment:
         return np.array(index, dtype=np.int64)
 
 
-def assignments(labels: np.ndarray) -> list[PartialAssignment]:
-    """One PartialAssignment per row of an integer (R, n) label array, each from one zipped tuple of ints."""
-    return [PartialAssignment(row) for row in zip(*labels.T.tolist())]
+# `assignments` fills the slots directly, so no row pays for the constructor's
+# loop, and takes each element's bit from one array.
+_new_assignment = object.__new__
+_BITS = np.int64(1) << np.arange(MAX_ELEMENTS, dtype=np.int64)
+_set_labels, _set_mask, _set_starts, _set_row = (
+    PartialAssignment.__dict__[name].__set__ for name in ("labels", "assigned_mask", "_starts", "_row")
+)
+
+
+def _first_bad(labels: np.ndarray, bad: np.ndarray, reason: str) -> ValueError:
+    """The refusal of the first label, in row-major order, where `bad` holds."""
+    r, j = np.argwhere(bad)[0]
+    return ValueError(f"label {labels[r, j]} at element {j} {reason}")
+
+
+def assignments(labels: np.ndarray, m: int | None = None, masks: np.ndarray | None = None) -> list[PartialAssignment]:
+    """One PartialAssignment per row of an integer (R, n) label array, equal to
+    `PartialAssignment(tuple(row))` and refused as it is, for the whole array
+    at once. Each row's labels are one zipped tuple of ints and its mask one
+    entry of `(labels != UNASSIGNED) @ bits`, or of `masks` when the caller
+    has computed and checked them. Given m (every label below it), the rows'
+    bundle start indices are built in one one-hot pass and shared, so
+    `bundle_indices(m)` reads its row instead of looping over the labels."""
+    count, n = labels.shape
+    if not count:
+        return []
+    if np.minimum.reduce(labels, axis=None) < UNASSIGNED:
+        raise _first_bad(labels, labels < UNASSIGNED, "is invalid")
+    bits = _BITS[:n]
+    if masks is None:
+        masks = (labels != UNASSIGNED) @ bits
+    starts = None
+    if m is not None:
+        if np.maximum.reduce(labels, axis=None) >= m:
+            raise _first_bad(labels, labels >= m, f"exceeds m={m}")
+        alternatives, steps = np.arange(m, dtype=np.int64), m * bits
+        starts = np.empty((count, m), dtype=np.int64)
+        # (rows, n, m) one-hot blocks of at most 512 rows, so the pass holds
+        # at most 512·n·m bytes besides its result
+        for lo in range(0, count, 512):
+            np.matmul(steps, labels[lo : lo + 512, :, None] == alternatives, out=starts[lo : lo + 512])
+        starts += alternatives
+        starts.setflags(write=False)
+    built = []
+    for row, (label_row, mask) in enumerate(zip(zip(*labels.T.tolist()), masks.tolist())):
+        assignment = _new_assignment(PartialAssignment)
+        _set_labels(assignment, label_row)
+        _set_mask(assignment, mask)
+        _set_starts(assignment, starts)
+        _set_row(assignment, row)
+        built.append(assignment)
+    return built
 
 
 def value_of(assignment: PartialAssignment, table: ValueTable) -> float:
@@ -217,7 +273,8 @@ def value_of(assignment: PartialAssignment, table: ValueTable) -> float:
     bundle value, empty bundles included (they contribute values[0, t])."""
     if assignment.n != table.n:
         raise ValueError(f"assignment has {assignment.n} elements, table expects {table.n}")
-    return float(table.values.reshape(-1).take(assignment.bundle_indices(table.m)).sum())
+    # the ufunc `.sum()` calls, without numpy's method wrapper: the same bits
+    return float(np.add.reduce(table.values.take(assignment.bundle_indices(table.m))))
 
 
 def expand_children(assignment: PartialAssignment, element: int, m: int) -> list[PartialAssignment]:

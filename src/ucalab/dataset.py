@@ -42,7 +42,7 @@ class DatasetConfig:
             raise ValueError("pairs_per_level must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledPair:
     assignment: PartialAssignment
     current_value: float
@@ -57,7 +57,10 @@ def sample_partial_labels(n: int, m: int, levels, per_level: int, rng: np.random
     if not all(0 <= u <= n for u in levels):
         raise ValueError(f"unassigned counts {list(levels)} must lie in 0..{n}")
     free = np.repeat(np.array(levels, dtype=np.int64), per_level)
-    ranks = rng.permuted(np.broadcast_to(np.arange(n, dtype=np.int8), (len(free), n)), axis=1)
+    # each row 0..n-1, permuted in place: the draws of permuting a broadcast view
+    ranks = np.empty((len(free), n), dtype=np.int8)
+    ranks[...] = np.arange(n, dtype=np.int8)
+    rng.permuted(ranks, axis=1, out=ranks)
     dtype = np.int16 if m <= 1 << 15 else np.int64
     return np.where(ranks < (n - free)[:, None], rng.integers(0, m, ranks.shape, dtype=dtype), UNASSIGNED)
 
@@ -90,7 +93,7 @@ def label_levels(
     check_levels(table.n, table.m, levels, per_level, node_budget)
     return [
         LabeledPair(a, value_of(a, table), exact_value_to_go(a, table, node_budget=node_budget))
-        for a in assignments(sample_partial_labels(table.n, table.m, levels, per_level, rng))
+        for a in assignments(sample_partial_labels(table.n, table.m, levels, per_level, rng), table.m)
     ]
 
 
@@ -200,5 +203,6 @@ def load_dataset(path: str | Path) -> tuple[list[LabeledPair], int, int, int]:
         raise FormatError(f"{path}: record {bad[0]}: non-finite current value or target")
     labels = np.where(assigned, records["labels"], np.int16(UNASSIGNED))
     currents, targets = records["current_value"].tolist(), records["target"].tolist()
-    pairs = [LabeledPair(a, current, target) for a, current, target in zip(assignments(labels), currents, targets)]
+    built = assignments(labels, masks=masks)
+    pairs = [LabeledPair(a, current, target) for a, current, target in zip(built, currents, targets)]
     return pairs, n, m, kappa

@@ -46,7 +46,8 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .core import UNASSIGNED, PartialAssignment, ValueTable, check_memory
+from . import core
+from .core import PartialAssignment, ValueTable
 
 DEFAULT_NODE_BUDGET = 2**28
 BLOCK_COMPLETIONS = 4096
@@ -153,12 +154,21 @@ def _dp_bytes(m: int, u: int) -> int:
     return 8 * ((2 * m + 4) * 2**u + 10 * 3**low + 4 * 2**low)
 
 
+def _solve_bytes(m: int, n: int, finish: int) -> int:
+    """Bytes a solve holds at once: its flat finish, which runs while the DP's
+    pair tables stay cached, and the DP when it runs."""
+    return _flat_bytes(m, finish) + (_dp_bytes(m, n) if finish < n else 0)
+
+
 def _check(units: int, node_budget: int, nbytes: int, m: int, u: int) -> None:
     """Refuse a search over budget, or one whose arrays, plus 64 KiB for
-    Python objects and small arrays, exceed physical memory."""
+    Python objects and small arrays, exceed physical memory. The bytes come
+    from the search's plan and are compared here, so `core.check_memory` is
+    called only to word the refusal of a search that does not fit."""
     if units > node_budget:
         raise BudgetExceededError(units, node_budget, f"depth {u}, branching {m}")
-    check_memory(nbytes + 2**16, f"exact search at depth {u}, branching {m}")
+    if nbytes + 2**16 > core.PHYSICAL_MEMORY:
+        core.check_memory(nbytes + 2**16, f"exact search at depth {u}, branching {m}")
 
 
 def _split(m: int, u: int) -> int:
@@ -173,6 +183,11 @@ def _split(m: int, u: int) -> int:
     return split
 
 
+def _bits(free: int) -> list[int]:
+    """The set bits of the bitmask `free`, ascending."""
+    return [1 << e for e in range(free.bit_length()) if free >> e & 1]
+
+
 def _build_indices(cols: np.ndarray, m: int, free: int, dp: bool) -> np.ndarray:
     """`cols`, an (m, 1) column of start indices (or a (1, 1) zero for the DP),
     plus a kernel's offsets for the free elements `free` (a bitmask). The DP's
@@ -181,7 +196,7 @@ def _build_indices(cols: np.ndarray, m: int, free: int, dp: bool) -> np.ndarray:
     element slowest), each element added as the new slowest digit, m·bit on
     the diagonal of its (m, m, 1) steps, so numpy's inner loop runs along the
     long axis."""
-    bits = [1 << e for e in range(free.bit_length()) if free >> e & 1]
+    bits = _bits(free)
     if dp:
         for bit in bits:
             cols = np.concatenate([cols, cols + m * bit], axis=1)
@@ -219,26 +234,28 @@ def _row_sums(block: np.ndarray, out: np.ndarray | None = None, buffer: np.ndarr
     """Column totals of an (m, R) block, bitwise `.sum(axis=1)` of its C-ordered
     transpose: numpy adds fewer than 8 entries in order from 0.0, as the sum
     over axis 0 does, and more pairwise, which needs the C-ordered copy; it is
-    written into `buffer`, an (R, m) array, when one is given."""
+    written into `buffer`, an (R, m) array, when one is given. The sums call
+    the `.sum` ufunc directly, without numpy's method wrapper."""
     if len(block) < 8:
-        return block.sum(axis=0, out=out)
+        return np.add.reduce(block, axis=0, out=out)
     if buffer is None:
         buffer = np.empty(block.shape[::-1])
     np.copyto(buffer, block.T)
-    return buffer.sum(axis=1, out=out)
+    return np.add.reduce(buffer, axis=1, out=out)
 
 
-def _flat_search(values: np.ndarray, start: np.ndarray, bits: list[int]) -> tuple[float, int]:
+def _flat_search(values: np.ndarray, start: np.ndarray, free: int) -> tuple[float, int]:
     """Best completion value of the bundles `start` (flat indices) over the
-    free `bits` (ascending), and the lexicographic index of its first
+    free elements `free` (a bitmask), and the lexicographic index of its first
     occurrence. Blocks of at most BLOCK_COMPLETIONS completions share one
     index, one value and one sum array (and one transposed copy from 8
     alternatives on), so memory grows with m and the prefix table but not
     with the depth."""
     m = len(start)
-    split = _split(m, len(bits))
-    lead = sum(bits[:split])
-    inner = _indices(start, sum(bits) ^ lead, False)
+    split = _split(m, free.bit_count())
+    # the leading free elements, listed only when there are several blocks
+    lead = sum(_bits(free)[:split]) if split else 0
+    inner = _indices(start, free ^ lead, False)
     flat = values.reshape(-1)
     if not split:
         sums = _row_sums(flat.take(inner))
@@ -321,11 +338,12 @@ def _dp_layer(f: np.ndarray, v: np.ndarray, u: int) -> np.ndarray:
     return g.reshape(-1)
 
 
-def _dp_value(values: np.ndarray, start: np.ndarray, bits: list[int]) -> float:
+def _dp_value(values: np.ndarray, start: np.ndarray, free: int) -> float:
     """Best completion value of the bundles `start` (flat indices) over the
-    free `bits`, by the subset DP; bitwise the flat kernel's for m <= 7."""
-    m, u = len(start), len(bits)
-    v = values.take(_indices(start, sum(bits), True))
+    free elements `free` (a bitmask), by the subset DP; bitwise the flat
+    kernel's for m <= 7."""
+    m, u = len(start), free.bit_count()
+    v = values.take(_indices(start, free, True))
     # the row sum starts from +0.0: adding it turns -0.0 entries into +0.0,
     # which bundle 0 needs and later bundles do not notice, as a partial sum
     # from +0.0 is never -0.0
@@ -344,21 +362,22 @@ def _solve(values: np.ndarray, m: int, n: int, finish: int) -> tuple[list[int], 
     finish == n, the DP gives the optimum and a descent fixes the leading
     elements; the flat kernel returns the first best completion of the last
     `finish` elements, whose best is the optimum too."""
-    bits = [1 << e for e in range(n)]
+    full = (1 << n) - 1
     start = np.arange(m, dtype=np.int64)
     labels = []
     if finish < n:
-        value = _dp_value(values, start, bits)
+        value = _dp_value(values, start, full)
     for e in range(n - finish):
+        rest = full >> (e + 1) << (e + 1)
         for t in range(m):
             trial = start.copy()
             trial[t] += m << e
-            if t == m - 1 or _dp_value(values, trial, bits[e + 1 :]) == value:
+            if t == m - 1 or _dp_value(values, trial, rest) == value:
                 break
         start = trial
         labels.append(t)
     if finish:
-        value, where = _flat_search(values, start, bits[n - finish :])
+        value, where = _flat_search(values, start, full >> (n - finish) << (n - finish))
         labels.extend(int(x) for x in np.unravel_index(where, (m,) * finish))
     return labels, value
 
@@ -368,17 +387,18 @@ def _best_completion(table: ValueTable, assignment: PartialAssignment, node_budg
     picks, refused before any work when that kernel's work units exceed
     node_budget or its arrays physical memory."""
     m = table.m
-    bits = [1 << e for e, lab in enumerate(assignment.labels) if lab == UNASSIGNED]
-    u = len(bits)
+    free = ((1 << table.n) - 1) ^ assignment.assigned_mask
+    u = free.bit_count()
     dp, units, nbytes = _value_plan(m, u)
     _check(units, node_budget, nbytes, m, u)
     start = assignment.bundle_indices(m)
     if dp:
-        return _dp_value(table.values, start, bits)
+        return _dp_value(table.values, start, free)
     if _split(m, u):
-        return _flat_search(table.values, start, bits)[0]
-    # one block, and only its value is asked for, so no argmax
-    return float(_row_sums(table.values.take(_indices(start, sum(bits), False))).max())
+        return _flat_search(table.values, start, free)[0]
+    # one block, and only its value is asked for, so no argmax; the `.max()`
+    # ufunc, called directly
+    return float(np.maximum.reduce(_row_sums(table.values.take(_indices(start, free, False)))))
 
 
 def exact_value_to_go(
@@ -399,8 +419,6 @@ def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tu
     """
     n, m = table.n, table.m
     finish, units = _solve_plan(m, n)
-    # a DP solve's flat finish runs while the DP's pair tables stay cached
-    nbytes = _flat_bytes(m, finish) + (_dp_bytes(m, n) if finish < n else 0)
-    _check(units, node_budget, nbytes, m, n)
+    _check(units, node_budget, _solve_bytes(m, n, finish), m, n)
     labels, value = _solve(table.values, m, n, finish)
     return PartialAssignment(tuple(labels)), value

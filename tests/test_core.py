@@ -333,6 +333,55 @@ def test_assignments_are_the_rows_as_tuples_of_python_ints(dtype):
     assert assignments(labels[:0]) == []
 
 
+@st.composite
+def label_arrays(draw):
+    """An (R, n) label array of int16 or int64, with m alternatives, R >= 1."""
+    n, m, rows = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 20))
+    dtype = draw(st.sampled_from([np.int16, np.int64]))
+    flat = draw(st.lists(st.integers(UNASSIGNED, m - 1), min_size=rows * n, max_size=rows * n))
+    return np.array(flat, dtype=dtype).reshape(rows, n), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_arrays(), st.data())
+def test_assignments_equal_the_constructor_row_by_row(drawn, data):
+    labels, m = drawn
+    expected = [PartialAssignment(tuple(row)) for row in labels]
+    for built in (assignments(labels), assignments(labels, m)):
+        assert built == expected
+        for a, e in zip(built, expected):
+            assert a.labels == e.labels and a.assigned_mask == e.assigned_mask
+            assert hash(a) == hash(e) and all(type(label) is int for label in a.labels)
+    # with m, each row's bundle indices come from the batch, equal to the loop's
+    for a, e in zip(assignments(labels, m), expected):
+        got = a.bundle_indices(m)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == e.bundle_indices(m).tolist()
+        assert a.bundle_indices(m + 1).tolist() == e.bundle_indices(m + 1).tolist()
+    # a label below UNASSIGNED is refused as the constructor refuses the first such row
+    r, j = data.draw(st.integers(0, len(labels) - 1)), data.draw(st.integers(0, labels.shape[1] - 1))
+    bad = labels.copy()
+    bad[r, j] = data.draw(st.integers(-300, -2))
+    with pytest.raises(ValueError) as expected_error:
+        [PartialAssignment(tuple(row)) for row in bad]
+    for call in (lambda: assignments(bad), lambda: assignments(bad, m)):
+        with pytest.raises(ValueError, match=f"^{expected_error.value}$"):
+            call()
+    # and with m, a label at or above m is refused as bundle_indices refuses it
+    bad = labels.copy()
+    bad[r, j] = m
+    with pytest.raises(ValueError, match=f"^label {m} at element {j} exceeds m={m}$"):
+        assignments(bad, m)
+
+
+def test_assignments_start_indices_span_several_one_hot_blocks():
+    # the one-hot pass runs in blocks of 512 rows; 1,100 rows take three
+    rng = np.random.default_rng(11)
+    labels = rng.integers(UNASSIGNED, 5, size=(1100, 9)).astype(np.int16)
+    for a, row in zip(assignments(labels, 5), labels):
+        assert a.bundle_indices(5).tolist() == PartialAssignment(tuple(row)).bundle_indices(5).tolist()
+
+
 def test_from_labels_accepts_integral_labels_of_any_type():
     expected = (1, UNASSIGNED, 0)
     for labels in ([1, -1, 0], np.array([1, -1, 0], dtype=np.int8), np.array([1.0, -1.0, 0.0]), (np.int64(1), -1, 0)):

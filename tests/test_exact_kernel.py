@@ -4,6 +4,7 @@ oracle, called directly and through the cost rule; of the flat row sums
 against numpy's; and bounds on their working memory."""
 
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import all_completion_values, bundle_masks
 
-from ucalab import exact
+from ucalab import core, exact
 from ucalab.core import PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable
 from ucalab.exact import DEFAULT_NODE_BUDGET, _row_sums, exact_value_to_go, solve_exact
 from ucalab.valuegen import NpdParams, generate_npd
@@ -42,11 +43,27 @@ def tables(draw, max_m=9):
 block_sizes = st.sampled_from([1, 7, exact.BLOCK_COMPLETIONS])
 
 
+@contextmanager
+def block_completions(block):
+    """BLOCK_COMPLETIONS patched to `block`. The cached plans read it, so both
+    plan caches are cleared on entry and on exit: no plan made under one
+    block size is used under another, in this test or a later one."""
+    plans = (exact._value_plan, exact._solve_plan)
+    for plan in plans:
+        plan.cache_clear()
+    try:
+        with mock.patch.object(exact, "BLOCK_COMPLETIONS", block):
+            yield
+    finally:
+        for plan in plans:
+            plan.cache_clear()
+
+
 @settings(max_examples=150, deadline=None)
 @given(tables(), block_sizes)
 def test_solve_exact_is_first_argmax_of_flat_enumeration(table, block):
     flat = all_completion_values(table, PartialAssignment.empty(table.n))
-    with mock.patch.object(exact, "BLOCK_COMPLETIONS", block):
+    with block_completions(block):
         assignment, value = solve_exact(table)
     assert value == flat.max()
     first = np.unravel_index(int(np.argmax(flat)), (table.m,) * table.n)
@@ -59,7 +76,7 @@ def test_value_to_go_matches_oracle_bitwise(table, block, data):
     labels = data.draw(st.lists(st.integers(UNASSIGNED, table.m - 1), min_size=table.n, max_size=table.n))
     assignment = PartialAssignment.from_labels(labels)
     expected = all_completion_values(table, assignment).max()
-    with mock.patch.object(exact, "BLOCK_COMPLETIONS", block):
+    with block_completions(block):
         assert exact_value_to_go(assignment, table) == expected
 
 
@@ -106,21 +123,27 @@ def test_search_over_physical_memory_is_refused_before_allocating():
 
 @pytest.mark.parametrize("n, m, unassigned", [(1, 300, 1), (7, 4, 7), (7, 4, 6)])
 def test_counted_search_bytes_cover_the_peak(n, m, unassigned):
-    # the memory check counts at least what the search then allocates
+    # the memory check counts at least what the search then allocates: the
+    # bytes of the search's plan plus 64 KiB for Python objects, and with one
+    # byte less of physical memory the search is refused naming them
     table = ValueTable(n, m, np.random.default_rng(n * m).normal(size=(1 << n, m)))
     assignment = PartialAssignment((UNASSIGNED,) * unassigned + (0,) * (n - unassigned))
-    counted = []
-    with mock.patch.object(exact, "check_memory", lambda needed, what: counted.append(needed)):
-        tracemalloc.start()
-        try:
-            if unassigned < n:
-                exact_value_to_go(assignment, table)
-            else:
-                solve_exact(table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert len(counted) == 1 and counted[0] >= peak
+    if unassigned < n:
+        counted = exact._value_plan(m, unassigned)[2] + 2**16
+        search = lambda: exact_value_to_go(assignment, table)  # noqa: E731
+    else:
+        counted = exact._solve_bytes(m, n, exact._solve_plan(m, n)[0]) + 2**16
+        search = lambda: solve_exact(table)  # noqa: E731
+    with mock.patch.object(core, "PHYSICAL_MEMORY", counted - 1):
+        with pytest.raises(ValueError, match=f"needs {counted} bytes, more than the {counted - 1} bytes"):
+            search()
+    tracemalloc.start()
+    try:
+        search()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted >= peak
 
 
 def first_optimum(table):
@@ -130,8 +153,8 @@ def first_optimum(table):
     return flat.max(), [int(x) for x in first]
 
 
-def free_bits(assignment):
-    return [1 << e for e, lab in enumerate(assignment.labels) if lab == UNASSIGNED]
+def free_mask(assignment):
+    return ((1 << assignment.n) - 1) ^ assignment.assigned_mask
 
 
 # Pair tables over fewer low elements than production split the DP's
@@ -145,8 +168,8 @@ def test_flat_kernel_matches_oracle_bitwise(table, block, data):
     labels = data.draw(st.lists(st.integers(UNASSIGNED, table.m - 1), min_size=table.n, max_size=table.n))
     assignment = PartialAssignment.from_labels(labels)
     flat = all_completion_values(table, assignment)
-    with mock.patch.object(exact, "BLOCK_COMPLETIONS", block):
-        value, where = exact._flat_search(table.values, assignment.bundle_indices(table.m), free_bits(assignment))
+    with block_completions(block):
+        value, where = exact._flat_search(table.values, assignment.bundle_indices(table.m), free_mask(assignment))
     assert np.float64(value).tobytes() == flat.max().tobytes()
     assert where == int(np.argmax(flat))
 
@@ -158,7 +181,7 @@ def test_dp_value_matches_oracle_bitwise(table, low, data):
     assignment = PartialAssignment.from_labels(labels)
     expected = all_completion_values(table, assignment).max()
     with mock.patch.object(exact, "LOW_BITS", low):
-        value = exact._dp_value(table.values, assignment.bundle_indices(table.m), free_bits(assignment))
+        value = exact._dp_value(table.values, assignment.bundle_indices(table.m), free_mask(assignment))
     assert np.float64(value).tobytes() == expected.tobytes()
 
 

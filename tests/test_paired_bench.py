@@ -1,9 +1,12 @@
 """The labelling of `tools/paired_bench.py` on fixed numbers, without running
-the benchmark, and its runs from fresh bytecode on stand-in checkouts."""
+the benchmark, its runs from fresh bytecode on stand-in checkouts, and its
+gain rule on stand-in runs."""
 
 import argparse
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
     "paired_bench", Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py"
@@ -67,10 +70,64 @@ def test_every_run_starts_without_bytecode_under_src(tmp_path, capsys):
         sides[side] = checkout
     args = argparse.Namespace(pairs=2, seed=1, seconds=1.0, trace=0)
     spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}], "per_layer": []}
-    assert paired_bench.compare(sides, args, "w", spec) == ([], [])
+    assert paired_bench.compare(sides, args, "w", spec) == ([], [], [])
     for checkout in sides.values():
         assert (checkout / "runs.log").read_text().split() == ["False", "False"]
         assert (checkout / "src" / "ucalab" / "core.py").exists()
     header = capsys.readouterr().out.splitlines()[0]
     assert "src_pycache=removed_before_each_run" in header
     assert header.endswith(" src_lines base=5 change=1")
+
+
+def test_the_gain_rule_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_base_iqr():
+    base = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    # every pair won, the median 0.2 lower against a base IQR of 0.05
+    assert paired_bench.meets_gain_rule(base, [b - 0.2 for b in base], LOWER)
+    # every pair won, but the median only 0.01 lower: within the base IQR
+    assert not paired_bench.meets_gain_rule(base, [b - 0.01 for b in base], LOWER)
+    # 9 of 10 pairs won is enough, 8 is not; a tie counts for neither side
+    assert paired_bench.meets_gain_rule(base, [b - 0.2 for b in base[:9]] + [base[9] + 1.0], LOWER)
+    assert not paired_bench.meets_gain_rule(base, [b - 0.2 for b in base[:8]] + base[8:], LOWER)
+    assert paired_bench.wins(base, base, LOWER) == 0
+    # the direction follows the metric
+    assert paired_bench.meets_gain_rule(base, [b + 0.2 for b in base], HIGHER)
+    assert not paired_bench.meets_gain_rule(base, [b - 0.2 for b in base], HIGHER)
+
+
+# A stand-in for perfbench/run.py whose wall_s is the checkout's wall.txt plus
+# a thousandth per seed, and whose peak_rss_mb is the same on every run.
+FAKE_TIMED_RUN = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+wall = float(open("wall.txt").read()) + 0.001 * seed
+print("rounds=3")
+print(json.dumps({"failed": 0, "attempted": 1,
+                  "metrics": {"wall_s": {"value": wall}, "peak_rss_mb": {"value": 50.0}}}))
+"""
+
+
+@pytest.mark.parametrize("change_wall, gain", [(0.9, True), (0.999, False)])
+def test_the_gain_rule_is_printed_for_each_end_to_end_metric(tmp_path, capsys, change_wall, gain):
+    # base runs read 1.001..1.010 s (IQR 0.0055 s); a change 0.1 s faster
+    # meets the rule, one 0.001 s faster wins every pair but does not
+    sides = {}
+    for side, wall in (("base", 1.0), ("change", change_wall)):
+        checkout = tmp_path / side
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "src").mkdir()
+        (checkout / "perfbench" / "run.py").write_text(FAKE_TIMED_RUN)
+        (checkout / "wall.txt").write_text(str(wall))
+        sides[side] = checkout
+    args = argparse.Namespace(pairs=10, seed=1, seconds=1.0, trace=0)
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}], "per_layer": []}
+    worse, undecided, gains = paired_bench.compare(sides, args, "w", spec)
+    assert (worse, undecided) == ([], [])
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[2:]}
+    assert rows["wall_s"].endswith(" 10/10 gain" if gain else " 10/10 no gain")
+    # equal runs tie every pair: no pair won, no gain
+    assert rows["peak_rss_mb"].endswith(" 0/10 no gain")
+    if gain:
+        assert gains == ["w:wall_s -9.9% (won 10/10, base IQR 0.5%)"]
+    else:
+        assert gains == []

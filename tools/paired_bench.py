@@ -19,8 +19,12 @@ with one line naming every end-to-end metric whose change median is worse
 than the base median by more than its BENCHMARK.json bound, and one naming
 every end-to-end metric left unresolved: the base runs' IQR is wider than
 the bound, and not every change run reads better than every base run, so
-the runs cannot tell a change within the bound from noise. BENCHMARK.json
-is only read. Exits 1 when any run fails or reports failed checks.
+the runs cannot tell a change within the bound from noise. Each end-to-end
+metric's row also says whether the change meets the gain rule ("gain"): it
+won at least nine tenths of the pairs, ties counting for neither, and its
+median is better than the base median by more than the base IQR; a last line
+names every end-to-end metric that meets it. BENCHMARK.json is only read.
+Exits 1 when any run fails or reports failed checks.
 """
 
 import argparse
@@ -69,10 +73,22 @@ def unresolved(base: list[float], change: list[float], bound: float, sign: float
     return b3 - b1 > bound * abs(bm) and min(sign * c for c in change) <= max(sign * b for b in base)
 
 
-def compare(sides: dict, args, workload: str, spec: dict) -> tuple[list[str], list[str]] | None:
+def wins(base: list[float], change: list[float], sign: float) -> int:
+    """Pairs in which the change reads better than the base; a tie counts for neither."""
+    return sum(sign * (c - b) > 0 for b, c in zip(base, change))
+
+
+def meets_gain_rule(base: list[float], change: list[float], sign: float) -> bool:
+    """Whether the change won at least nine tenths of the pairs and its median
+    is better than the base median by more than the base runs' IQR."""
+    b1, bm, b3 = quartiles(base)
+    return 10 * wins(base, change, sign) >= 9 * len(base) and sign * (quartiles(change)[1] - bm) > b3 - b1
+
+
+def compare(sides: dict, args, workload: str, spec: dict) -> tuple[list[str], list[str], list[str]] | None:
     """Run and print one workload's pairs; returns the end-to-end metrics
-    worse than their bound and those left unresolved, or None when a run
-    failed."""
+    worse than their bound, those left unresolved and those that meet the
+    gain rule, or None when a run failed."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs = {side: [] for side in sides}
@@ -94,23 +110,29 @@ def compare(sides: dict, args, workload: str, spec: dict) -> tuple[list[str], li
           f"rounds base={statistics.median(rounds['base']):g} change={statistics.median(rounds['change']):g} "
           f"src_lines base={src_lines(sides['base'])} change={src_lines(sides['change'])}")
     print(f"{'metric':34} {'base median [IQR]':>26} {'change median [IQR]':>26} {'change':>8} {'won':>6}")
-    worse, undecided = [], []
+    worse, undecided, gains = [], [], []
     for name in runs["base"][0]:
         base = [r[name] for r in runs["base"]]
         change = [r[name] for r in runs["change"]]
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
-        won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        won = wins(base, change, sign)
         (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
         delta = f"{(cm - bm) / abs(bm):+.1%}" if bm else "n/a"
-        label = "unresolved" if name in bounds and unresolved(base, change, bounds[name], sign) else ""
+        labels = []
+        if name in bounds:
+            labels.append("gain" if meets_gain_rule(base, change, sign) else "no gain")
+            if unresolved(base, change, bounds[name], sign):
+                labels.append("unresolved")
         print(f"{name:34} {bm:>12.6g} [{b3 - b1:>10.3g}] {cm:>12.6g} [{c3 - c1:>10.3g}] {delta:>8} "
-              f"{won:>3}/{args.pairs} {label}".rstrip())
+              f"{won:>3}/{args.pairs} {' '.join(labels)}".rstrip())
+        spread = f"{(b3 - b1) / abs(bm):.1%}" if bm else "n/a"
         if name in bounds and sign * (cm - bm) < -bounds[name] * abs(bm):
             worse.append(f"{workload}:{name} {delta} (bound {bounds[name]:.0%})")
-        if label:
-            spread = (b3 - b1) / abs(bm)
-            undecided.append(f"{workload}:{name} {delta} (base IQR {spread:.0%}, bound {bounds[name]:.0%})")
-    return worse, undecided
+        if "unresolved" in labels:
+            undecided.append(f"{workload}:{name} {delta} (base IQR {spread}, bound {bounds[name]:.0%})")
+        if "gain" in labels:
+            gains.append(f"{workload}:{name} {delta} (won {won}/{args.pairs}, base IQR {spread})")
+    return worse, undecided, gains
 
 
 def main() -> int:
@@ -126,16 +148,18 @@ def main() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"base": args.base, "change": args.change}
-    worse, undecided = [], []
+    worse, undecided, gains = [], [], []
     for workload in args.workload:
         found = compare(sides, args, workload, spec)
         if found is None:
             return 1
         worse += found[0]
         undecided += found[1]
+        gains += found[2]
         print()
     print("worse than bound: " + (", ".join(worse) if worse else "none"))
     print("unresolved: " + (", ".join(undecided) if undecided else "none"))
+    print("meets gain rule: " + (", ".join(gains) if gains else "none"))
     return 0
 
 
