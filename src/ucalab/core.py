@@ -164,7 +164,8 @@ class PartialAssignment:
     labels on construction. The per-alternative bundles derived from the
     labels are pairwise disjoint by construction. An assignment built by
     `assignments` for m alternatives also refers to its row of the batch's
-    bundle start indices, which equality, hashing and repr ignore.
+    bundle start indices, until `release_bundle_indices`; equality, hashing
+    and repr ignore them.
     """
 
     labels: tuple[int, ...]
@@ -229,22 +230,21 @@ def _first_bad(labels: np.ndarray, bad: np.ndarray, reason: str) -> ValueError:
     return ValueError(f"label {labels[r, j]} at element {j} {reason}")
 
 
-def assignments(labels: np.ndarray, m: int | None = None, masks: np.ndarray | None = None) -> list[PartialAssignment]:
+def assignments(labels: np.ndarray, m: int | None = None) -> list[PartialAssignment]:
     """One PartialAssignment per row of an integer (R, n) label array, equal to
     `PartialAssignment(tuple(row))` and refused as it is, for the whole array
     at once. Each row's labels are one zipped tuple of ints and its mask one
-    entry of `(labels != UNASSIGNED) @ bits`, or of `masks` when the caller
-    has computed and checked them. Given m (every label below it), the rows'
-    bundle start indices are built in one one-hot pass and shared, so
-    `bundle_indices(m)` reads its row instead of looping over the labels."""
+    entry of `(labels != UNASSIGNED) @ bits`. Given m (every label below it),
+    the rows' bundle start indices are built in one one-hot pass and shared,
+    so `bundle_indices(m)` reads its row instead of looping over the labels
+    until `release_bundle_indices` lets the batch go."""
     count, n = labels.shape
     if not count:
         return []
     if np.minimum.reduce(labels, axis=None) < UNASSIGNED:
         raise _first_bad(labels, labels < UNASSIGNED, "is invalid")
     bits = _BITS[:n]
-    if masks is None:
-        masks = (labels != UNASSIGNED) @ bits
+    masks = (labels != UNASSIGNED) @ bits
     starts = None
     if m is not None:
         if np.maximum.reduce(labels, axis=None) >= m:
@@ -266,6 +266,14 @@ def assignments(labels: np.ndarray, m: int | None = None, masks: np.ndarray | No
         _set_row(assignment, row)
         built.append(assignment)
     return built
+
+
+def release_bundle_indices(batch: list[PartialAssignment]) -> None:
+    """Drop the batch's shared start indices from each of its assignments, so
+    assignments kept after their start indices are read hold no (R, m) array;
+    `bundle_indices` then loops over the labels again."""
+    for assignment in batch:
+        _set_starts(assignment, None)
 
 
 def value_of(assignment: PartialAssignment, table: ValueTable) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (
     DATASET_FORMAT, MAX_ELEMENTS, FormatError, PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable, assignments,
-    value_of,
+    release_bundle_indices, value_of,
 )
 from .exact import DEFAULT_NODE_BUDGET, BudgetExceededError, exact_value_to_go, value_to_go_units
 
@@ -91,10 +91,11 @@ def label_levels(
     """
     levels = list(levels)
     check_levels(table.n, table.m, levels, per_level, node_budget)
-    return [
-        LabeledPair(a, value_of(a, table), exact_value_to_go(a, table, node_budget=node_budget))
-        for a in assignments(sample_partial_labels(table.n, table.m, levels, per_level, rng), table.m)
-    ]
+    batch = assignments(sample_partial_labels(table.n, table.m, levels, per_level, rng), table.m)
+    pairs = [LabeledPair(a, value_of(a, table), exact_value_to_go(a, table, node_budget=node_budget)) for a in batch]
+    # the pairs are kept, the batch's start indices are read only by the two calls
+    release_bundle_indices(batch)
+    return pairs
 
 
 def build_dataset(
@@ -203,6 +204,5 @@ def load_dataset(path: str | Path) -> tuple[list[LabeledPair], int, int, int]:
         raise FormatError(f"{path}: record {bad[0]}: non-finite current value or target")
     labels = np.where(assigned, records["labels"], np.int16(UNASSIGNED))
     currents, targets = records["current_value"].tolist(), records["target"].tolist()
-    built = assignments(labels, masks=masks)
-    pairs = [LabeledPair(a, current, target) for a, current, target in zip(built, currents, targets)]
+    pairs = [LabeledPair(a, current, target) for a, current, target in zip(assignments(labels), currents, targets)]
     return pairs, n, m, kappa

@@ -46,8 +46,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from . import core
-from .core import PartialAssignment, ValueTable
+from .core import PartialAssignment, ValueTable, check_memory
 
 DEFAULT_NODE_BUDGET = 2**28
 BLOCK_COMPLETIONS = 4096
@@ -154,21 +153,12 @@ def _dp_bytes(m: int, u: int) -> int:
     return 8 * ((2 * m + 4) * 2**u + 10 * 3**low + 4 * 2**low)
 
 
-def _solve_bytes(m: int, n: int, finish: int) -> int:
-    """Bytes a solve holds at once: its flat finish, which runs while the DP's
-    pair tables stay cached, and the DP when it runs."""
-    return _flat_bytes(m, finish) + (_dp_bytes(m, n) if finish < n else 0)
-
-
 def _check(units: int, node_budget: int, nbytes: int, m: int, u: int) -> None:
     """Refuse a search over budget, or one whose arrays, plus 64 KiB for
-    Python objects and small arrays, exceed physical memory. The bytes come
-    from the search's plan and are compared here, so `core.check_memory` is
-    called only to word the refusal of a search that does not fit."""
+    Python objects and small arrays, exceed physical memory."""
     if units > node_budget:
         raise BudgetExceededError(units, node_budget, f"depth {u}, branching {m}")
-    if nbytes + 2**16 > core.PHYSICAL_MEMORY:
-        core.check_memory(nbytes + 2**16, f"exact search at depth {u}, branching {m}")
+    check_memory(nbytes + 2**16, f"exact search at depth {u}, branching {m}")
 
 
 def _split(m: int, u: int) -> int:
@@ -419,6 +409,8 @@ def solve_exact(table: ValueTable, node_budget: int = DEFAULT_NODE_BUDGET) -> tu
     """
     n, m = table.n, table.m
     finish, units = _solve_plan(m, n)
-    _check(units, node_budget, _solve_bytes(m, n, finish), m, n)
+    # a DP solve's flat finish runs while the DP's pair tables stay cached
+    nbytes = _flat_bytes(m, finish) + (_dp_bytes(m, n) if finish < n else 0)
+    _check(units, node_budget, nbytes, m, n)
     labels, value = _solve(table.values, m, n, finish)
     return PartialAssignment(tuple(labels)), value

@@ -140,7 +140,7 @@ def best_of_n(
     ci = 0
     for start in range(0, n_evals, ROLLOUT_BLOCK):
         block = _lockstep_labels(table, estimator, min(ROLLOUT_BLOCK, n_evals - start), rng)
-        for evaluation, assignment in enumerate(assignments(block, table.m), start + 1):
+        for evaluation, assignment in enumerate(assignments(block), start + 1):
             val = value_of(assignment, table)
             if val > best_value:
                 best_value = val

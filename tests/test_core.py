@@ -1,3 +1,4 @@
+import gc
 import struct
 import tracemalloc
 
@@ -17,6 +18,7 @@ from ucalab.core import (
     assignments,
     checked_integers,
     expand_children,
+    release_bundle_indices,
     value_of,
 )
 from ucalab.dataset import DatasetConfig, LabeledPair, build_dataset, load_dataset, save_dataset
@@ -380,6 +382,17 @@ def test_assignments_start_indices_span_several_one_hot_blocks():
     labels = rng.integers(UNASSIGNED, 5, size=(1100, 9)).astype(np.int16)
     for a, row in zip(assignments(labels, 5), labels):
         assert a.bundle_indices(5).tolist() == PartialAssignment(tuple(row)).bundle_indices(5).tolist()
+
+
+def test_released_assignments_refer_to_no_array_and_keep_their_start_indices():
+    labels = np.random.default_rng(12).integers(UNASSIGNED, 4, size=(30, 6)).astype(np.int16)
+    batch = assignments(labels, 4)
+    assert all(any(isinstance(ref, np.ndarray) for ref in gc.get_referents(a)) for a in batch)
+    release_bundle_indices(batch)
+    for a, row in zip(batch, labels):
+        assert not any(isinstance(ref, np.ndarray) for ref in gc.get_referents(a))
+        assert a == PartialAssignment(tuple(row))
+        assert a.bundle_indices(4).tolist() == PartialAssignment(tuple(row)).bundle_indices(4).tolist()
 
 
 def test_from_labels_accepts_integral_labels_of_any_type():

@@ -1,3 +1,4 @@
+import gc
 import math
 import statistics
 import struct
@@ -114,6 +115,13 @@ def test_label_levels_records_are_the_sampler_rows_with_exact_labels():
     for pair in pairs:
         assert pair.current_value == value_of(pair.assignment, table)
         assert pair.target == float(all_completion_values(table, pair.assignment).max())
+
+
+def test_labeled_records_keep_no_array_of_their_batch():
+    # a kept record holds its labels and mask, not the batch's start indices
+    pairs = label_levels(npd_table(6, 5, 25), [2, 4], 40, np.random.default_rng(26), 10**6)
+    for pair in pairs:
+        assert not any(isinstance(ref, np.ndarray) for ref in gc.get_referents(pair.assignment))
 
 
 def test_label_levels_reads_a_one_shot_iterator_of_levels():

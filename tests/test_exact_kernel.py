@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import all_completion_values, bundle_masks
 
-from ucalab import core, exact
+from ucalab import exact
 from ucalab.core import PartialAssignment, ProblemSpec, UNASSIGNED, ValueTable
 from ucalab.exact import DEFAULT_NODE_BUDGET, _row_sums, exact_value_to_go, solve_exact
 from ucalab.valuegen import NpdParams, generate_npd
@@ -123,27 +123,21 @@ def test_search_over_physical_memory_is_refused_before_allocating():
 
 @pytest.mark.parametrize("n, m, unassigned", [(1, 300, 1), (7, 4, 7), (7, 4, 6)])
 def test_counted_search_bytes_cover_the_peak(n, m, unassigned):
-    # the memory check counts at least what the search then allocates: the
-    # bytes of the search's plan plus 64 KiB for Python objects, and with one
-    # byte less of physical memory the search is refused naming them
+    # the memory check counts at least what the search then allocates
     table = ValueTable(n, m, np.random.default_rng(n * m).normal(size=(1 << n, m)))
     assignment = PartialAssignment((UNASSIGNED,) * unassigned + (0,) * (n - unassigned))
-    if unassigned < n:
-        counted = exact._value_plan(m, unassigned)[2] + 2**16
-        search = lambda: exact_value_to_go(assignment, table)  # noqa: E731
-    else:
-        counted = exact._solve_bytes(m, n, exact._solve_plan(m, n)[0]) + 2**16
-        search = lambda: solve_exact(table)  # noqa: E731
-    with mock.patch.object(core, "PHYSICAL_MEMORY", counted - 1):
-        with pytest.raises(ValueError, match=f"needs {counted} bytes, more than the {counted - 1} bytes"):
-            search()
-    tracemalloc.start()
-    try:
-        search()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert counted >= peak
+    counted = []
+    with mock.patch.object(exact, "check_memory", lambda needed, what: counted.append(needed)):
+        tracemalloc.start()
+        try:
+            if unassigned < n:
+                exact_value_to_go(assignment, table)
+            else:
+                solve_exact(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(counted) == 1 and counted[0] >= peak
 
 
 def first_optimum(table):
